@@ -1,4 +1,4 @@
-"""Serving-gateway throughput across execution backends (thread/process/async).
+"""Serving-gateway throughput across execution backends (thread/process).
 
 Two workloads over the synthetic open-data corpus, each measured against a
 sequential no-gateway baseline and across the backend matrix:
@@ -8,8 +8,8 @@ sequential no-gateway baseline and across the backend matrix:
   benchmark);
 * ``distinct`` — every request carries a unique requester relation, so no
   cache or coalescing helps and throughput is pure compute.  This is the
-  workload that separates the backends: the GIL serialises the thread and
-  async backends at ~1x, while the process backend scales with cores
+  workload that separates the backends: the GIL serialises the thread
+  backend at ~1x, while the process backend scales with cores
   (acceptance: ≥2x over thread on a ≥4-core runner).
 
 Every backend's responses are checked for result identity against the
@@ -39,7 +39,7 @@ from repro.core import Mileena  # noqa: E402
 from repro.datasets import CorpusSpec, generate_corpus  # noqa: E402
 from repro.serving import Gateway, GatewayConfig  # noqa: E402
 
-BACKENDS = ("thread", "process", "async")
+BACKENDS = ("thread", "process")
 
 
 def fresh_platform(corpus, num_shards: int) -> Mileena:

@@ -15,14 +15,11 @@ gateway's *distinct*-workload ratios (parallel compute, scales with
 cores) are enforced only when the baseline was recorded on a machine with
 the same cpu_count.
 
-Two gates carry an *absolute* floor on top of the baseline comparison:
+One gate carries an *absolute* floor on top of the baseline comparison:
 ``replication.distinct_speedup`` must stay ≥ 2.0 — the headline
 primary/follower read-scaling claim — enforced only on runners with ≥ 4
 cores (parallel speedup needs them; smaller boxes report the measurement
-and move on, like the ``faults.recovery_efficiency`` machine gate); and
-``batching.batched_vs_serial`` must stay ≥ 2.0 — the micro-batching
-headline — which is single-threaded and therefore enforced on every
-runner, 1-core CI boxes included.
+and move on, like the ``faults.recovery_efficiency`` machine gate).
 
 CI wires this up after the test job and skips it when the commit message
 contains ``[bench-skip]``; the smoke JSONs are uploaded as workflow
@@ -148,60 +145,6 @@ def replication_enforceable(baseline_report: dict, current_report: dict):
     return lambda name: same_cores
 
 
-def batching_ratios(report: dict) -> dict[str, float]:
-    """Batched-vs-serial ratios from the micro-batching bench's summary."""
-    summary = report.get("summary", {})
-    return {
-        f"batching.{name}": value
-        for name, value in summary.items()
-        if name != "at_batch_size"
-    }
-
-
-def batching_enforceable(baseline_report: dict, current_report: dict):
-    """Batched-vs-serial is single-threaded, but the ratio's constant
-    factors (Python dict walks vs numpy scatter passes) shift between CPU
-    generations, so the baseline comparison holds only between machines
-    with the same cpu_count.  (The absolute ≥2x floor is gated separately
-    in :func:`batching_floor_failures` and holds on any runner.)"""
-    base_cpus = baseline_report.get("config", {}).get("cpu_count")
-    now_cpus = current_report.get("config", {}).get("cpu_count")
-    same_cores = base_cpus is not None and base_cpus == now_cpus
-    return lambda name: same_cores
-
-
-BATCHING_MIN_SPEEDUP = 2.0
-
-
-def batching_floor_failures(report: dict) -> tuple[list[str], list[str]]:
-    """The micro-batching headline: a full lane of distinct union queries
-    through one batched kernel call ≥ 2x the same queries served one at
-    a time.
-
-    Like the replication floor this is absolute — a committed baseline
-    cannot ratchet it down — but unlike it the measurement is
-    single-threaded, so it is enforced on every runner, 1-core CI boxes
-    included.
-    """
-    measured = report.get("summary", {}).get("batched_vs_serial")
-    name = "batching.batched_vs_serial"
-    if measured is None:
-        return [], [f"{name}: missing from the current smoke report"]
-    status = "ok" if measured >= BATCHING_MIN_SPEEDUP else "BELOW FLOOR"
-    lines = [
-        f"  {name:<48} floor={BATCHING_MIN_SPEEDUP:>8.2f} "
-        f"measured={measured:>8.2f}  {status}"
-    ]
-    failures: list[str] = []
-    if measured < BATCHING_MIN_SPEEDUP:
-        failures.append(
-            f"{name}: measured {measured:.2f} below the absolute "
-            f"{BATCHING_MIN_SPEEDUP:.1f}x floor (single-threaded, "
-            f"enforced on any core count)"
-        )
-    return lines, failures
-
-
 REPLICATION_MIN_SPEEDUP = 2.0
 REPLICATION_MIN_CORES = 4
 
@@ -253,7 +196,7 @@ def obs_enforceable(baseline_report: dict, current_report: dict):
     rendering vs string rendering, attribute checks vs dict updates)
     that shift between CPU generations and Python builds, so the
     baseline comparison holds only between machines with the same
-    cpu_count — the same guard the batching ratio uses."""
+    cpu_count — the same guard the faults ratio uses."""
     base_cpus = baseline_report.get("config", {}).get("cpu_count")
     now_cpus = current_report.get("config", {}).get("cpu_count")
     same_cores = base_cpus is not None and base_cpus == now_cpus
@@ -393,22 +336,10 @@ def main(argv: list[str] | None = None) -> int:
             args.out_dir / "bench_faults_smoke.json",
             faults_ratios,
         ),
-        # Micro-batched vs serial discovery over a hot-domain burst.  The
-        # ratio is single-threaded and within-run; its summary additionally
-        # carries the absolute ≥2x union floor enforced on every runner
-        # (see batching_floor_failures).
-        (
-            "batching",
-            "bench_batching.py",
-            [],
-            REPO_ROOT / "BENCH_batching.json",
-            args.out_dir / "bench_batching_smoke.json",
-            batching_ratios,
-        ),
         # OpenMetrics exposition cost and the exemplar observe tax.  Both
         # ratios are within-round quotients (median across rounds), so
-        # they survive machine-load wobble; like batching they compare
-        # constant factors and are enforced only on a matching machine.
+        # they survive machine-load wobble; they compare constant factors
+        # and are enforced only on a matching machine.
         (
             "obs",
             "bench_obs.py",
@@ -464,8 +395,6 @@ def main(argv: list[str] | None = None) -> int:
             enforce = faults_enforceable(baseline_report, current_report)
         elif extract is replication_ratios:
             enforce = replication_enforceable(baseline_report, current_report)
-        elif extract is batching_ratios:
-            enforce = batching_enforceable(baseline_report, current_report)
         elif extract is obs_ratios:
             enforce = obs_enforceable(baseline_report, current_report)
         else:
@@ -481,11 +410,6 @@ def main(argv: list[str] | None = None) -> int:
             all_failures.extend(recall_failures)
         if extract is replication_ratios:
             floor_lines, floor_failures = replication_floor_failures(current_report)
-            if floor_lines:
-                print("\n".join(floor_lines))
-            all_failures.extend(floor_failures)
-        if extract is batching_ratios:
-            floor_lines, floor_failures = batching_floor_failures(current_report)
             if floor_lines:
                 print("\n".join(floor_lines))
             all_failures.extend(floor_failures)

@@ -5,9 +5,9 @@ sharded store/index, and requests flow through a gateway that schedules
 them on a pluggable execution backend, enforces per-request deadlines,
 coalesces duplicate work, and memoises results in an epoch-keyed LRU cache.
 
-Backends: ``thread`` (default), ``process`` (true multi-core — each worker
-process bootstraps a platform replica from pickled registrations), and
-``async`` (asyncio coalescing).  All three return identical results.
+Backends: ``thread`` (default) and ``process`` (true multi-core — each
+worker process bootstraps a platform replica from pickled registrations).
+Both return identical results.
 
 Run with:  PYTHONPATH=src python examples/serving_gateway.py [backend]
 """

@@ -32,8 +32,6 @@ from repro.privacy.mechanisms import PrivacyBudget
 from repro.relational.relation import Relation
 from repro.sketches.builder import SketchBuilder
 
-_MISS = object()
-
 
 @dataclass
 class SearchResult:
@@ -62,8 +60,8 @@ class Mileena:
     ``repro.serving.metrics.MetricsRegistry``); the gateway wires them in,
     and a bare platform works exactly as before without them.
     ``serving_backend`` is a platform-level default execution backend name
-    (``"thread"``/``"process"``/``"async"``) the gateway honours when its
-    own config does not name one.
+    (``"thread"``/``"process"``/``"replicated"``) the gateway honours when
+    its own config does not name one.
     """
 
     corpus: Corpus = field(default_factory=Corpus)
@@ -320,12 +318,6 @@ class Mileena:
                 request.train, top_k=top_k
             )
             union_span.annotate(candidates=len(union_candidates))
-        return self._assemble_candidates(request, join_candidates, union_candidates)
-
-    @staticmethod
-    def _assemble_candidates(
-        request: SearchRequest, join_candidates, union_candidates
-    ) -> list[AugmentationCandidate]:
         candidates: list[AugmentationCandidate] = []
         for candidate in join_candidates:
             if candidate.query_column not in request.join_keys:
@@ -347,94 +339,17 @@ class Mileena:
             )
         return candidates
 
-    def discover_candidates_batch(
-        self, requests: list[SearchRequest], top_k: int | None = None
-    ) -> list[list[AugmentationCandidate]]:
-        """Candidate lists for many requests through one batched kernel pass.
-
-        Entry *q* is identical to ``discover_candidates(requests[q], top_k)``:
-        cached requests are served from the cache under the exact solo key,
-        and the misses run the discovery index's batched join/union kernels
-        (one signature-matrix broadcast, one CSR×CSR product) when the
-        index provides them, falling back to per-query calls otherwise.
-        This is the kernel the serving layer's
-        :class:`repro.serving.batching.MicroBatcher` dispatches per lane.
-        """
-        effective_top_k = top_k if top_k is not None else self.discovery_top_k
-        results: list = [None] * len(requests)
-        keys: list = [None] * len(requests)
-        pending: list[int] = []
-        if self.cache is not None:
-            from repro.serving.fingerprint import relation_fingerprint
-
-            epoch = self.corpus.epoch
-            for index, request in enumerate(requests):
-                keys[index] = (
-                    "discover",
-                    relation_fingerprint(request.train),
-                    tuple(request.join_keys),
-                    effective_top_k,
-                    epoch,
-                )
-                hit = self.cache.get(keys[index], _MISS)
-                if hit is _MISS:
-                    pending.append(index)
-                else:
-                    results[index] = hit
-        else:
-            pending = list(range(len(requests)))
-        if pending:
-            join_lists, union_lists = self._discover_batch(
-                [requests[index].train for index in pending], effective_top_k
-            )
-            for position, index in enumerate(pending):
-                results[index] = self._assemble_candidates(
-                    requests[index], join_lists[position], union_lists[position]
-                )
-                if keys[index] is not None:
-                    self.cache.put(keys[index], results[index])
-        return results
-
-    def _discover_batch(self, queries: list[Relation], top_k: int):
-        discovery = self.corpus.discovery
-        if self.metrics is not None:
-            for _ in queries:
-                self.metrics.increment("platform.discoveries")
-        join_batch = getattr(discovery, "join_candidates_batch", None)
-        union_batch = getattr(discovery, "union_candidates_batch", None)
-        with span("discovery.join", batch=len(queries)) as join_span:
-            if join_batch is not None:
-                join_lists = join_batch(queries, top_k=top_k)
-            else:
-                join_lists = [
-                    discovery.join_candidates(query, top_k=top_k) for query in queries
-                ]
-            join_span.annotate(candidates=sum(len(lst) for lst in join_lists))
-        with span("discovery.union", batch=len(queries)) as union_span:
-            if union_batch is not None:
-                union_lists = union_batch(queries, top_k=top_k)
-            else:
-                union_lists = [
-                    discovery.union_candidates(query, top_k=top_k) for query in queries
-                ]
-            union_span.annotate(candidates=sum(len(lst) for lst in union_lists))
-        return join_lists, union_lists
-
     def search(
         self,
         request: SearchRequest,
         train_final_model: bool = True,
         discovery_top_k: int | None = None,
-        candidates: list[AugmentationCandidate] | None = None,
     ) -> SearchResult:
         """Solve Problem 1 for one request.
 
         ``discovery_top_k`` narrows the candidate fan-out for this call
         only — the gateway's degraded mode serves a cheaper search this
-        way when the full-fidelity path is unavailable.  ``candidates``
-        supplies a precomputed discovery candidate list (the serving
-        layer's micro-batcher hands every lane member its slice of one
-        batched kernel call); when omitted the search discovers its own.
+        way when the full-fidelity path is unavailable.
         """
         timer = BudgetTimer(self.clock, request.time_budget_seconds)
         requester = Requester("requester", builder=self.builder)
@@ -443,8 +358,7 @@ class Mileena:
         state = AugmentationState.from_sketches(
             request.target, sketches.train, sketches.test
         )
-        if candidates is None:
-            candidates = self.discover_candidates(request, top_k=discovery_top_k)
+        candidates = self.discover_candidates(request, top_k=discovery_top_k)
         search = GreedySketchSearch(
             store=self.corpus.sketches, proxy=self.proxy, clock=self.clock
         )

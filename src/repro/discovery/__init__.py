@@ -24,7 +24,6 @@ engine-knob trade-offs.
 from repro.discovery.engine import (
     PackedSignatureMatrix,
     SparseTermMatrix,
-    TokenIndex,
     VersionedCache,
     adaptive_lsh_bands,
     lsh_recall,
@@ -59,7 +58,6 @@ __all__ = [
     "tokenize",
     "PackedSignatureMatrix",
     "SparseTermMatrix",
-    "TokenIndex",
     "VersionedCache",
     "adaptive_lsh_bands",
     "lsh_recall",

@@ -22,10 +22,6 @@ loops.  This module holds the structures that replace those loops:
   column are a handful of vectorized posting updates instead of a Python
   dict walk per column pair.  Weighted postings (``count × idf``) are
   cached per IDF snapshot, version-keyed like the norm cache.
-* :class:`TokenIndex` — an inverted token → dataset index over TF-IDF
-  sketches.  Superseded as the union pruning structure by
-  :class:`SparseTermMatrix` (which prunes *and* scores), but kept as a
-  standalone utility.
 * :class:`VersionedCache` — a memo whose entries are valid for exactly one
   version of an upstream structure (e.g. weighted norms keyed on
   ``IdfModel.version``); the serving layer shares one across shards.
@@ -686,173 +682,3 @@ class SparseTermMatrix:
                 rows, weighted = rows[keep], weighted[keep]
             dot[rows] += (count * idf.get(term, 1.0)) * weighted
         return dot
-
-    def weighted_dot_many(
-        self,
-        term_counts_list: list[Mapping[str, int]],
-        idf: Mapping[str, float],
-        size: int | None = None,
-        with_norms: bool = False,
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """IDF-weighted dots of *many* query sketches in one batched pass.
-
-        Returns a dense ``(len(term_counts_list), size)`` matrix whose row
-        *q* is bit-equal to ``weighted_dot(term_counts_list[q], idf, size)``.
-        With ``with_norms=True`` also returns the sketches' IDF-weighted
-        Euclidean norms as a ``(len(term_counts_list),)`` vector, bit-equal
-        to ``TfIdfSketch.norm(idf)`` per sketch: the squared scales are
-        accumulated by the same in-order ``bincount`` trick (terms in
-        sketch iteration order, starting from 0.0, one addition each —
-        the exact float sequence of the solo ``sum()``), then rooted with
-        the same IEEE sqrt.  Fusing the norms into this pass saves a
-        separate per-(column, term) Python walk per batch member.
-
-        The whole batch is assembled into one flat COO scatter with a
-        *constant* number of large-array ops: each distinct term's posting
-        is fetched (and IDF-weighted) once, concatenated into a shared
-        arena, and every (query, term) usage becomes a ``(start, length,
-        scale)`` slice of that arena.  A ``np.repeat``/gather expansion
-        then materialises all usages at once — no per-term or per-query
-        numpy calls — and a single ``np.bincount`` accumulates the
-        scatter.  Usages are emitted query-major in sketch iteration
-        order, and a posting lists a row at most once per term, so for
-        every output element the duplicate contributions arrive exactly
-        in sketch order; ``bincount`` adds them one at a time in array
-        order, reproducing the float-addition sequence of the per-query
-        :meth:`weighted_dot` (absent postings skipped) bit for bit.
-        """
-        if size is None:
-            size = self.capacity
-        num_queries = len(term_counts_list)
-        # Arena of distinct-term postings: term -> (start, length, idf).
-        # Terms with no posting get a zero-length entry (still carrying
-        # their idf, which the fused norms need), so the usage loop below
-        # costs one dict probe per (query, term).
-        arena: dict[str, tuple[int, int, float]] = {}
-        arena_get = arena.get
-        idf_get = idf.get
-        rows_chunks: list[np.ndarray] = []
-        weighted_chunks: list[np.ndarray] = []
-        arena_size = 0
-        # Per-usage slices, emitted query-major in sketch iteration order.
-        usages: list[tuple[int, int, int, float]] = []
-        usages_append = usages.append
-        for query, term_counts in enumerate(term_counts_list):
-            for term, count in term_counts.items():
-                entry = arena_get(term)
-                if entry is None:
-                    posting = self._weighted_posting(term, idf)
-                    if posting is None:
-                        entry = (0, 0, idf_get(term, 1.0))
-                    else:
-                        rows, weighted = posting
-                        if rows.size and int(rows[-1]) >= size:
-                            # A registration raced this batch past the
-                            # snapshot the caller sized against; drop the
-                            # unseen rows.
-                            keep = rows < size
-                            rows, weighted = rows[keep], weighted[keep]
-                        entry = (arena_size, len(rows), idf_get(term, 1.0))
-                        rows_chunks.append(rows)
-                        weighted_chunks.append(weighted)
-                        arena_size += len(rows)
-                    arena[term] = entry
-                # entry[2] is the term's idf; count × idf is the identical
-                # scalar product the solo path computes before its
-                # scalar×array multiply (and whose square the solo norm
-                # sums).
-                usages_append((entry[0], entry[1], query, count * entry[2]))
-        dots = None
-        norms = None
-        if usages:
-            usage_starts, usage_lens, usage_queries, usage_scales = zip(*usages)
-            lens = np.asarray(usage_lens, dtype=np.int64)
-            queries = np.asarray(usage_queries, dtype=np.int64)
-            scales = np.asarray(usage_scales, dtype=np.float64)
-            if with_norms:
-                # (count·idf)² accumulated per sketch in usage order: the
-                # same additions, in the same order, as the solo sum().
-                norms = np.sqrt(
-                    np.bincount(
-                        queries, weights=scales * scales, minlength=num_queries
-                    )
-                )
-            if arena_size:
-                starts = np.asarray(usage_starts, dtype=np.int64)
-                live = lens > 0
-                if not live.all():
-                    starts = starts[live]
-                    lens = lens[live]
-                    queries = queries[live]
-                    scales = scales[live]
-                total = int(lens.sum())
-                if total:
-                    arena_rows = np.concatenate(rows_chunks)
-                    arena_weighted = np.concatenate(weighted_chunks)
-                    # gather[i] walks each usage's posting slice of the
-                    # arena: arange minus the repeated output offsets
-                    # yields 0..len-1 within every block, shifted to that
-                    # usage's arena start.
-                    ends = np.cumsum(lens)
-                    gather = np.arange(total, dtype=np.int64)
-                    gather -= np.repeat(ends - lens, lens)
-                    gather += np.repeat(starts, lens)
-                    indices = np.repeat(queries * size, lens) + arena_rows[gather]
-                    values = np.repeat(scales, lens) * arena_weighted[gather]
-                    flat = np.bincount(
-                        indices, weights=values, minlength=num_queries * size
-                    )
-                    dots = flat.reshape(num_queries, size)
-        if dots is None:
-            dots = np.zeros((num_queries, size), dtype=np.float64)
-        if not with_norms:
-            return dots
-        if norms is None:
-            norms = np.zeros(num_queries, dtype=np.float64)
-        return dots, norms
-
-
-class TokenIndex:
-    """Inverted token → dataset index over TF-IDF sketches (refcounted).
-
-    Multiple columns of one dataset can share a token, so entries are
-    refcounts; a dataset leaves a token's posting only when its last column
-    carrying that token is removed.
-
-    Superseded in the union hot path by :class:`SparseTermMatrix` (which
-    both prunes and scores in one pass) but kept as a standalone utility.
-    """
-
-    def __init__(self) -> None:
-        self._postings: dict[str, dict[str, int]] = {}
-
-    def add(self, dataset: str, tokens: Iterable[str]) -> None:
-        for token in tokens:
-            posting = self._postings.setdefault(token, {})
-            posting[dataset] = posting.get(dataset, 0) + 1
-
-    def remove(self, dataset: str, tokens: Iterable[str]) -> None:
-        for token in tokens:
-            posting = self._postings.get(token)
-            if posting is None:
-                continue
-            remaining = posting.get(dataset, 0) - 1
-            if remaining > 0:
-                posting[dataset] = remaining
-            else:
-                posting.pop(dataset, None)
-                if not posting:
-                    del self._postings[token]
-
-    def datasets_sharing(self, tokens: Iterable[str]) -> set[str]:
-        """Datasets with at least one column containing at least one token."""
-        matches: set[str] = set()
-        postings = self._postings
-        for token in tokens:
-            posting = postings.get(token)
-            if posting:
-                matches.update(posting)
-        return matches
-
-    def __len__(self) -> int:
-        return len(self._postings)

@@ -382,12 +382,7 @@ class DiscoveryIndex:
         selection: tuple,
         sims: np.ndarray,
     ) -> list[JoinCandidate]:
-        """Per-segment winners of one (layout, similarities) pair (unsorted).
-
-        Shared by the solo and batched vectorized joins: ``sims`` may be a
-        row slice of a batch-wide similarity matrix — every operation here
-        is per-row or elementwise, so slicing changes nothing bit-wise.
-        """
+        """Per-segment winners of one (layout, similarities) pair (unsorted)."""
         results: list[JoinCandidate] = []
         row_ids, starts, segments = selection
         sims[~valid, :] = 0.0
@@ -454,232 +449,6 @@ class DiscoveryIndex:
             segments,
         )
 
-    # -- batched kernels -------------------------------------------------------
-    def join_candidates_batch(
-        self, queries: list[Relation], top_k: int | None = None
-    ) -> list[list[JoinCandidate]]:
-        """Join candidates for many queries through one batched matrix pass.
-
-        Entry *q* is bit-identical to ``join_candidates(queries[q], top_k)``:
-        the batch stacks every query's signatures into one broadcast (one
-        exact scan, or — under LSH — one ``similarities`` call over the
-        union of the per-query adaptive candidate sets) and then applies
-        the per-query post-processing to each query's own similarity rows.
-        """
-        profiles = [profile_relation(query, self.minhasher) for query in queries]
-        return self.join_candidates_for_profiles(profiles, top_k)
-
-    def join_candidates_for_profiles(
-        self, query_profiles: list[DatasetProfile], top_k: int | None = None
-    ) -> list[list[JoinCandidate]]:
-        """Batched :meth:`join_candidates_for_profile` (shards reuse profiles)."""
-        if not self.vectorized or self._unpacked:
-            return [
-                self.join_candidates_for_profile_scalar(profile, top_k)
-                for profile in query_profiles
-            ]
-        return self._join_batch_vectorized(query_profiles, top_k)
-
-    def _join_batch_vectorized(
-        self, query_profiles: list[DatasetProfile], top_k: int | None
-    ) -> list[list[JoinCandidate]]:
-        engine = self._signatures
-        results: list[list[JoinCandidate]] = [[] for _ in query_profiles]
-        per_profile_columns = [
-            [
-                column
-                for column in profile.joinable_columns()
-                if column.minhash is not None
-            ]
-            for profile in query_profiles
-        ]
-        if not len(engine):
-            return results
-        width = engine.num_hashes
-        slices: list[tuple[int, int]] = []
-        stacked: list = []
-        for columns in per_profile_columns:
-            for column in columns:
-                if len(column.minhash.signature) != width:
-                    raise DiscoveryError(
-                        "cannot compare MinHash sketches of different widths"
-                    )
-            start = len(stacked)
-            stacked.extend(column.minhash.signature for column in columns)
-            slices.append((start, len(stacked)))
-        if not stacked:
-            return results
-        signatures = np.array(stacked, dtype=np.int64)
-        valid = np.array(
-            [
-                column.minhash.num_values > 0
-                for columns in per_profile_columns
-                for column in columns
-            ],
-            dtype=bool,
-        )
-        if self.use_lsh:
-            # Per-query adaptive candidate sets (banding prunes per query),
-            # scored in ONE broadcast over the union of candidate rows.
-            with span("discovery.lsh_candidates", batch=len(query_profiles)) as banding:
-                layouts = []
-                union: set[int] = set()
-                for index, (start, end) in enumerate(slices):
-                    block = valid[start:end]
-                    layout = (
-                        self._lsh_layout(signatures[start:end][block])
-                        if block.any()
-                        else None
-                    )
-                    layouts.append(layout)
-                    if layout is not None:
-                        union.update(map(int, layout[0]))
-                banding.annotate(candidate_rows=len(union))
-            if not union:
-                return results
-            union_rows = np.asarray(sorted(union), dtype=np.intp)
-            with span("discovery.join_verify", batch=len(query_profiles)):
-                union_sims = engine.similarities(signatures, union_rows)
-            for index, (start, end) in enumerate(slices):
-                layout = layouts[index]
-                if layout is None or start == end:
-                    continue
-                # Extracting this query's candidate columns is an
-                # elementwise gather, so each kept cell is bit-equal to a
-                # solo similarities() call over exactly layout's rows.
-                positions = np.searchsorted(union_rows, layout[0])
-                results[index] = self._join_segment_results(
-                    query_profiles[index],
-                    per_profile_columns[index],
-                    valid[start:end],
-                    layout,
-                    union_sims[start:end][:, positions],
-                )
-        else:
-            with span("discovery.join_verify", batch=len(query_profiles)):
-                selection, sims = engine.scan(signatures)
-            if selection[0].size:
-                for index, (start, end) in enumerate(slices):
-                    if start == end:
-                        continue
-                    results[index] = self._join_segment_results(
-                        query_profiles[index],
-                        per_profile_columns[index],
-                        valid[start:end],
-                        selection,
-                        sims[start:end],
-                    )
-        for index, candidates in enumerate(results):
-            candidates.sort(key=lambda candidate: -candidate.similarity)
-            if top_k is not None:
-                results[index] = candidates[:top_k]
-        return results
-
-    def union_candidates_batch(
-        self, queries: list[Relation], top_k: int | None = None
-    ) -> list[list[UnionCandidate]]:
-        """Union candidates for many queries through one batched CSR pass.
-
-        Entry *q* is bit-identical to ``union_candidates(queries[q], top_k)``:
-        every query column's weighted dot runs inside one
-        :meth:`SparseTermMatrix.weighted_dot_many` call and the per-query
-        greedy mapping consumes its own similarity rows.
-        """
-        profiles = [profile_relation(query, self.minhasher) for query in queries]
-        return self.union_candidates_for_profiles(profiles, top_k)
-
-    def union_candidates_for_profiles(
-        self,
-        query_profiles: list[DatasetProfile],
-        top_k: int | None = None,
-        idf: dict[str, float] | None = None,
-        query_norms_list: list[dict[str, float]] | None = None,
-    ) -> list[list[UnionCandidate]]:
-        """Batched :meth:`union_candidates_for_profile` (shards share idf/norms)."""
-        if not self.vectorized:
-            return [
-                self.union_candidates_for_profile_scalar(profile, top_k, idf)
-                for profile in query_profiles
-            ]
-        if idf is None:
-            idf = self.idf_model.idf()
-        return self._union_batch_sparse(query_profiles, top_k, idf, query_norms_list)
-
-    def _union_batch_sparse(
-        self,
-        query_profiles: list[DatasetProfile],
-        top_k: int | None,
-        idf: dict[str, float],
-        query_norms_list: list[dict[str, float]] | None,
-    ) -> list[list[UnionCandidate]]:
-        terms = self._terms
-        results: list[list[UnionCandidate]] = [[] for _ in query_profiles]
-        size = terms.capacity
-        if size and len(terms):
-            row_norms = self._row_norms(idf, size)
-            # Gather every scoring job (query, column) across the batch,
-            # applying the same skip rules as the solo loop.  When a
-            # sharded coordinator did not precompute the column norms,
-            # the kernel derives them in its fused pass instead — a
-            # zero-norm column then stays in ``jobs``, but its
-            # similarities divide to all-zero (the ``where`` guard), so
-            # it contributes nothing, exactly like the solo skip.
-            jobs: list[tuple[int, object]] = []
-            norms: list[float] = []
-            for index, profile in enumerate(query_profiles):
-                query_norms = (
-                    None if query_norms_list is None else query_norms_list[index]
-                )
-                for query_column in profile.columns.values():
-                    sketch = query_column.tfidf
-                    if sketch is None or not sketch.term_counts:
-                        continue
-                    if query_norms is not None:
-                        query_norm = query_norms.get(query_column.column, 0.0)
-                        if query_norm == 0.0:
-                            continue
-                        norms.append(query_norm)
-                    jobs.append((index, query_column))
-            if jobs:
-                with span(
-                    "discovery.union_dot", rows=size, batch=len(query_profiles)
-                ) as dot_span:
-                    sketches = [column.tfidf.term_counts for _, column in jobs]
-                    if query_norms_list is None:
-                        dots, norm_vector = terms.weighted_dot_many(
-                            sketches, idf, size, with_norms=True
-                        )
-                    else:
-                        dots = terms.weighted_dot_many(sketches, idf, size)
-                        norm_vector = np.asarray(norms, dtype=np.float64)
-                    # Row j of the denominator is query_norm_j · row_norms —
-                    # the identical float multiply and divide, per element,
-                    # as the solo path's per-column division.
-                    denominators = norm_vector[:, None] * row_norms[None, :]
-                    similarities = np.divide(
-                        dots,
-                        denominators,
-                        out=np.zeros_like(dots),
-                        where=denominators != 0.0,
-                    )
-                    dot_span.annotate(query_columns=len(jobs))
-                scored_per: list[list[tuple[object, np.ndarray]]] = [
-                    [] for _ in query_profiles
-                ]
-                for job, (index, query_column) in enumerate(jobs):
-                    scored_per[index].append((query_column, similarities[job]))
-                compat_masks: dict[str, np.ndarray] = {}
-                columns_cache: dict[str, list[tuple[int, str, str]]] = {}
-                for index, profile in enumerate(query_profiles):
-                    results[index] = self._union_results(
-                        profile, scored_per[index], size, compat_masks, columns_cache
-                    )
-        for index, candidates in enumerate(results):
-            candidates.sort(key=lambda candidate: -candidate.similarity)
-            if top_k is not None:
-                results[index] = candidates[:top_k]
-        return results
-
     # -- sparse union engine ---------------------------------------------------
     def _union_candidates_sparse(
         self,
@@ -693,13 +462,7 @@ class DiscoveryIndex:
         One :meth:`SparseTermMatrix.weighted_dot` per query column yields
         cosine numerators against the *whole corpus* at once; dividing by
         the cached per-row norms gives every pair similarity in a handful
-        of vectorized ops.  Datasets are pruned by a vectorized bound
-        before any Python work: a dataset's greedy score is an average of
-        pair similarities times a ≤1 coverage factor, so it can never
-        exceed its best compatible pair — rows whose best similarity is
-        below the threshold are skipped wholesale.  Surviving datasets run
-        the same greedy mapping as the scalar oracle over the precomputed
-        (bit-equal) similarities, so results are identical.
+        of vectorized ops, and :meth:`_union_results` maps the survivors.
         """
         terms = self._terms
         results: list[UnionCandidate] = []
@@ -736,24 +499,15 @@ class DiscoveryIndex:
         query_profile: DatasetProfile,
         scored: list[tuple[object, np.ndarray]],
         size: int,
-        compat_masks: dict[str, np.ndarray] | None = None,
-        columns_cache: dict[str, list[tuple[int, str, str]]] | None = None,
     ) -> list[UnionCandidate]:
         """Candidates of one query from its scored columns (unsorted).
 
-        Shared by the solo and batched sparse unions.  Datasets are pruned
-        by a vectorized bound before any Python work: a dataset's greedy
-        score is an average of pair similarities times a ≤1 coverage
-        factor, so it can never exceed its best compatible pair — rows
-        whose best similarity is below the threshold are skipped
-        wholesale.  Surviving datasets run the same greedy mapping as the
-        scalar oracle over the precomputed (bit-equal) similarities.  The
-        bound accumulates one elementwise ``np.maximum`` per column in
-        ``scored`` order, so results are identical whether the columns
-        were scored one at a time or in a batch; ``compat_masks`` and
-        ``columns_cache`` let a batch share the per-dtype compatibility
-        masks and the per-dataset column metadata across its queries
-        (hot datasets recur across a batch's members).
+        Datasets are pruned by a vectorized bound before any Python work:
+        a dataset's greedy score is an average of pair similarities times
+        a ≤1 coverage factor, so it can never exceed its best compatible
+        pair — rows whose best similarity is below the threshold are
+        skipped wholesale.  Surviving datasets run the same greedy mapping
+        as the scalar oracle over the precomputed (bit-equal) similarities.
         """
         if not scored:
             return []
@@ -761,22 +515,14 @@ class DiscoveryIndex:
         results: list[UnionCandidate] = []
         best = np.zeros(size, dtype=np.float64)
         for query_column, similarities in scored:
-            if compat_masks is None:
-                mask = terms.compatible_rows(query_column.dtype, size)
-            else:
-                mask = compat_masks.get(query_column.dtype)
-                if mask is None:
-                    mask = terms.compatible_rows(query_column.dtype, size)
-                    compat_masks[query_column.dtype] = mask
+            mask = terms.compatible_rows(query_column.dtype, size)
             np.maximum(best, np.where(mask, similarities, 0.0), out=best)
         hits = best >= self.union_threshold
         hits &= best > 0.0
         for dataset in terms.datasets_of_rows(np.flatnonzero(hits)):
             if dataset == query_profile.dataset or dataset not in self.profiles:
                 continue
-            candidate = self._map_union_candidate(
-                dataset, query_profile, scored, size, columns_cache
-            )
+            candidate = self._map_union_candidate(dataset, query_profile, scored, size)
             if candidate is not None:
                 results.append(candidate)
         return results
@@ -787,7 +533,6 @@ class DiscoveryIndex:
         query_profile: DatasetProfile,
         scored: list[tuple[object, np.ndarray]],
         size: int,
-        columns_cache: dict[str, list[tuple[int, str, str]]] | None = None,
     ) -> UnionCandidate | None:
         """Greedy column mapping from precomputed pair similarities.
 
@@ -796,20 +541,13 @@ class DiscoveryIndex:
         non-positive pair, so dropping them up front changes nothing.
         Rows at or past ``size`` were registered after this query's
         snapshot and are skipped, like the other engine read paths.
-        ``columns_cache`` (keyed by dataset, scoped to one batch whose
-        members share ``size``) skips rebuilding a hot dataset's column
-        metadata for every batch member.
         """
         terms = self._terms
-        columns = None if columns_cache is None else columns_cache.get(dataset)
-        if columns is None:
-            columns = [
-                (row, terms.column_of(row), terms.dtype_of(row))
-                for row in terms.rows_for(dataset)
-                if row < size
-            ]
-            if columns_cache is not None:
-                columns_cache[dataset] = columns
+        columns = [
+            (row, terms.column_of(row), terms.dtype_of(row))
+            for row in terms.rows_for(dataset)
+            if row < size
+        ]
         pairs: list[tuple[float, str, str]] = []
         for query_column, similarities in scored:
             query_dtype = query_column.dtype

@@ -9,9 +9,9 @@ propagation work everywhere the serving stack computes:
 * same thread: ``with span("discovery.join"): ...`` finds its parent
   through the context variable — instrumented library code never takes a
   tracer argument;
-* worker threads (async backend): the coroutine captures
+* worker threads (hedged dispatch): the dispatcher captures
   ``contextvars.copy_context()`` while its ``dispatch`` span is active and
-  runs the compute under ``ctx.run``, so replica-thread spans parent
+  runs the compute under ``ctx.run``, so hedge-thread spans parent
   correctly;
 * worker processes (process backend): the parent stamps
   ``(trace_id, span_id)`` onto the request envelope, the replica collects

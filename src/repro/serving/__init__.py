@@ -2,7 +2,7 @@
 
 The serving stack, outside in: a :class:`Gateway` (admission control,
 deadlines, result cache, request coalescing) dispatches onto a pluggable
-execution backend (``thread``/``process``/``async``), which drives a
+execution backend (``thread``/``process``/``replicated``), which drives a
 platform whose corpus is a :class:`ShardedSketchStore` +
 :class:`ShardedDiscoveryIndex`.  ``docs/ARCHITECTURE.md`` draws the full
 picture; ``docs/TUNING.md`` covers knob selection.  The knobs reachable
@@ -12,9 +12,7 @@ from this layer, with defaults:
 knob                   default             trade-off
 =====================  ==================  =======================================
 ``backend``            ``"thread"``        ``process`` buys multi-core compute at
-                                           ~1s boot + pickling overhead; ``async``
-                                           buys cheap coalescing for bursty
-                                           duplicate traffic
+                                           ~1s boot + pickling overhead
 ``cache_capacity``     ``256`` (gateway)   bigger = more memoised results, more
                                            memory; entries are epoch-scoped so
                                            churn evicts naturally
@@ -50,11 +48,8 @@ _EXPORTS = {
     "ExecutionBackend": ("repro.serving.backends", "ExecutionBackend"),
     "ThreadBackend": ("repro.serving.backends", "ThreadBackend"),
     "ProcessPoolBackend": ("repro.serving.backends", "ProcessPoolBackend"),
-    "AsyncBackend": ("repro.serving.backends", "AsyncBackend"),
     "BACKENDS": ("repro.serving.backends", "BACKENDS"),
     "resolve_backend": ("repro.serving.backends", "resolve_backend"),
-    "MicroBatcher": ("repro.serving.batching", "MicroBatcher"),
-    "BatchedCandidates": ("repro.serving.batching", "BatchedCandidates"),
     "RetryPolicy": ("repro.serving.resilience", "RetryPolicy"),
     "CircuitBreaker": ("repro.serving.resilience", "CircuitBreaker"),
     "ResilientDispatch": ("repro.serving.resilience", "ResilientDispatch"),

@@ -2,7 +2,7 @@
 
 The gateway's serve pipeline (admission, cache lookup, coalescing,
 epoch-stamped caching) lives in :class:`repro.serving.gateway.Gateway`;
-a backend decides *where* requests run and *how* waiting happens:
+a backend decides *where* requests run:
 
 ``thread``
     The original bounded ``ThreadPoolExecutor``.  Cheapest to start, but
@@ -24,26 +24,19 @@ a backend decides *where* requests run and *how* waiting happens:
     result.  Orchestration (cache, coalescing, deadlines) stays in parent
     threads, so all backends share one cache and one coalescing table.
 
-``async``
-    An asyncio event loop on a dedicated thread.  Admission, deadlines,
-    and coalescing are handled as coroutines (followers await the leader's
-    future without occupying a thread); the CPU-bound platform computation
-    itself runs on a bounded thread executor, preserving the thread
-    backend's compute semantics.
+``replicated``
+    WAL-shipping follower processes (see :mod:`repro.replication`).
 
-All three backends are result identical under concurrent
+All backends are result identical under concurrent
 register/unregister churn — ``tests/serving/test_backend_parity.py`` is
 the contract.
 """
 
 from __future__ import annotations
 
-import asyncio
-import contextvars
 import multiprocessing
 import os
 import threading
-import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -51,20 +44,13 @@ from typing import Protocol, runtime_checkable
 
 from repro.core.clock import BudgetTimer
 from repro.core.request import SearchRequest
-from repro.exceptions import BackendError, BackendUnavailable, RequestTimeout
+from repro.exceptions import BackendError
 from repro.faults.injector import pending_fault
 from repro.obs import RemoteTrace, attach_records, current_span, span
-from repro.serving.gateway import (
-    EXPIRED,
-    OK,
-    ComputeOutcome,
-    GatewayConfig,
-    GatewayResponse,
-)
+from repro.serving.gateway import ComputeOutcome, GatewayConfig, GatewayResponse
 
 THREAD = "thread"
 PROCESS = "process"
-ASYNC = "async"
 #: Primary/follower WAL-shipping replication (read scaling); the backend
 #: class lives in :mod:`repro.replication.backend` and is resolved
 #: lazily so importing the serving layer never pulls in the persist one.
@@ -73,7 +59,7 @@ REPLICATED = "replicated"
 
 @runtime_checkable
 class ExecutionBackend(Protocol):
-    """Where gateway requests run and how waiting happens.
+    """Where gateway requests run.
 
     ``start(gateway)`` binds the backend to its gateway and builds pools;
     ``submit`` schedules one admitted request and returns a
@@ -225,11 +211,6 @@ class RequestEnvelope:
     #: worker performs it (crash / delay / raise) deterministically while
     #: handling exactly this envelope.  ``None`` in production.
     fault: object | None = None
-    #: Discovery candidates precomputed by the parent's micro-batcher
-    #: (one shared kernel call across concurrent requests), shipped only
-    #: when they were computed at exactly ``expected_epoch``.  ``None``
-    #: means the replica runs its own solo discovery.
-    candidates: list | None = None
 
 
 class PlatformReplica:
@@ -386,10 +367,6 @@ class PlatformReplica:
             if envelope.mode == "automl":
                 result = self.service.run(
                     envelope.request, time_budget_seconds=envelope.budget_seconds
-                )
-            elif envelope.candidates is not None:
-                result = self.platform.search(
-                    envelope.request, candidates=envelope.candidates
                 )
             else:
                 result = self.platform.search(envelope.request)
@@ -729,21 +706,7 @@ class ProcessPoolBackend:
         self, request: SearchRequest, remaining: float | None
     ) -> ComputeOutcome:
         gateway = self._gateway
-        candidates = None
-        batched_epoch = None
-        if gateway.batcher is not None:
-            # Join a batch lane *before* snapshotting the mutation log so
-            # the ops the replica replays are at least as fresh as the
-            # epoch the batch ran against.
-            batched = gateway.batcher.batch_for(gateway.mode, request, remaining)
-            candidates = batched.candidates
-            batched_epoch = batched.epoch
         ops, expected_epoch, snapshot = self._sync_ops()
-        if candidates is not None and batched_epoch != expected_epoch:
-            # The corpus churned between the batch and this dispatch; the
-            # precomputed candidates describe a stale epoch, so the
-            # replica must run its own solo discovery instead.
-            candidates = None
         # Cross-process trace propagation: the caller is the gateway's
         # ``dispatch`` span (this method runs inside it on the
         # orchestrator thread), so its ids root the replica's span tree.
@@ -760,7 +723,6 @@ class ProcessPoolBackend:
             snapshot=snapshot,
             trace=trace_ref,
             fault=pending_fault("replica.dispatch"),
-            candidates=candidates,
         )
         gateway.metrics.adjust_gauge(f"gateway.backend.{self.name}.inflight_computes", 1)
         started = gateway.clock.now()
@@ -801,214 +763,9 @@ class ProcessPoolBackend:
             self._pool.shutdown(wait=wait)
 
 
-# -- async backend -------------------------------------------------------------
-class AsyncBackend:
-    """Asyncio orchestration: coroutines wait, a bounded executor computes.
-
-    Mirrors the synchronous serve pipeline stage for stage with the same
-    gateway helpers, so admission control, ``BudgetTimer`` deadlines, cache
-    keys, epoch stamping, and coalescing semantics are identical; only the
-    waiting primitive differs (``await`` instead of a blocked thread).
-    Coalesced followers cost no thread at all while they wait.
-    """
-
-    name = ASYNC
-
-    def __init__(self, config: GatewayConfig) -> None:
-        self.config = config
-        self._gateway = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._compute_pool: ThreadPoolExecutor | None = None
-
-    def start(self, gateway) -> None:
-        self._gateway = gateway
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="gateway-async-loop", daemon=True
-        )
-        self._thread.start()
-        self._compute_pool = ThreadPoolExecutor(
-            max_workers=self.config.max_workers,
-            thread_name_prefix="gateway-async-compute",
-        )
-
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
-
-    def submit(
-        self, request_id: int, request: SearchRequest, timer: BudgetTimer
-    ) -> Future:
-        submitted_at = self._gateway.clock.now()
-        self._gateway.metrics.adjust_gauge(f"gateway.backend.{self.name}.queue_depth", 1)
-        return asyncio.run_coroutine_threadsafe(
-            self._serve(request_id, request, timer, submitted_at), self._loop
-        )
-
-    async def _serve(
-        self,
-        request_id: int,
-        request: SearchRequest,
-        timer: BudgetTimer,
-        submitted_at: float,
-    ) -> GatewayResponse:
-        gateway = self._gateway
-        gateway.metrics.observe(
-            f"gateway.backend.{self.name}.dispatch_seconds",
-            gateway.clock.now() - submitted_at,
-        )
-        try:
-            # Each asyncio task runs in its own contextvars context, so the
-            # root span set here can never leak into a sibling request's
-            # coroutine no matter how the event loop interleaves them.
-            root = gateway.tracer.trace(
-                "request", request_id=request_id, backend=self.name, mode=gateway.mode
-            )
-            with root:
-                try:
-                    response = await self._serve_stages(request_id, request, timer)
-                except Exception as error:  # noqa: BLE001
-                    response = gateway._failed(request_id, error)
-                root.annotate(status=response.status)
-                return response
-        finally:
-            gateway.metrics.adjust_gauge(f"gateway.backend.{self.name}.queue_depth", -1)
-            gateway._request_done()
-
-    async def _serve_stages(
-        self, request_id: int, request: SearchRequest, timer: BudgetTimer
-    ) -> GatewayResponse:
-        gateway = self._gateway
-        with span("admission") as admission:
-            waited, early = gateway._begin(request_id, timer)
-            admission.annotate(waited_seconds=waited)
-            if early is not None:
-                admission.annotate(outcome="expired")
-                return early
-        key = gateway._cache_key(timer, request)
-        flight = None
-        leading = False
-        if key is not None:
-            with span("cache_lookup") as lookup:
-                hit = gateway._lookup(key, request_id, waited)
-                if hit is not None:
-                    lookup.annotate(outcome="hit")
-                    return hit
-                early = gateway._degrade_early(request_id, request, timer, waited)
-                if early is not None:
-                    lookup.annotate(outcome="degraded")
-                    return early
-                flight, leading = gateway._flights.begin(key)
-                if not leading:
-                    lookup.annotate(outcome="coalesced")
-                    return await self._join_flight(flight, request_id, timer, waited)
-                lookup.annotate(outcome="miss")
-        else:
-            early = gateway._degrade_early(request_id, request, timer, waited)
-            if early is not None:
-                return early
-        remaining = timer.remaining() if timer.budget_seconds is not None else None
-        started = gateway.clock.now()
-        try:
-            with span("dispatch") as dispatch:
-                # run_in_executor switches threads, which loses contextvars;
-                # capturing the context while the dispatch span is active
-                # and computing under ctx.run parents the executor-side
-                # ``compute`` span (and the platform spans beneath it)
-                # correctly.
-                ctx = contextvars.copy_context()
-                outcome = await self._loop.run_in_executor(
-                    self._compute_pool,
-                    ctx.run,
-                    gateway.resilience.run,
-                    gateway._compute_local,
-                    request,
-                    remaining,
-                    timer,
-                )
-                dispatch.annotate(epoch=outcome.epoch, stale=outcome.stale)
-        except (RequestTimeout, BackendUnavailable) as error:
-            # The degraded ladder can recompute (CPU-bound), so it runs on
-            # the compute executor too, under the captured span context.
-            fallback_ctx = contextvars.copy_context()
-            return await self._loop.run_in_executor(
-                self._compute_pool,
-                fallback_ctx.run,
-                gateway._dispatch_failed,
-                request_id,
-                key,
-                request,
-                timer,
-                waited,
-                flight,
-                leading,
-                error,
-            )
-        except BaseException as error:
-            gateway._abort_flight(key, flight, leading, error)
-            raise
-        return gateway._complete(
-            request_id,
-            key,
-            timer,
-            waited,
-            outcome,
-            flight,
-            leading,
-            gateway.clock.now() - started,
-        )
-
-    async def _join_flight(
-        self, flight: Future, request_id: int, timer: BudgetTimer, waited: float
-    ) -> GatewayResponse:
-        gateway = self._gateway
-        gateway.metrics.increment("gateway.coalesced")
-        budgeted = timer.budget_seconds is not None
-        try:
-            # shield(): a follower's deadline must cancel only its own wait,
-            # never the leader's shared flight — an unshielded wait_for
-            # propagates cancellation into the underlying future and the
-            # leader's set_result would raise InvalidStateError.
-            result = await asyncio.wait_for(
-                asyncio.shield(asyncio.wrap_future(flight)),
-                timeout=timer.remaining() if budgeted else None,
-            )
-        except asyncio.TimeoutError:
-            gateway.metrics.increment("gateway.expired")
-            return GatewayResponse(
-                request_id,
-                EXPIRED,
-                error="deadline expired waiting on a coalesced request",
-                waited_seconds=waited,
-            )
-        gateway.metrics.increment("gateway.ok")
-        return GatewayResponse(
-            request_id, OK, result=result, cache_hit=True, waited_seconds=waited
-        )
-
-    def shutdown(self, wait: bool = True) -> None:
-        if self._compute_pool is not None:
-            self._compute_pool.shutdown(wait=wait)
-        if self._loop is not None:
-            if wait and self._gateway is not None:
-                # Drain in-flight coroutines before stopping the loop.  Real
-                # time, not the gateway clock: a simulated clock never
-                # advances on its own and would spin forever.
-                deadline = time.monotonic() + 30.0
-                while self._gateway.pending and time.monotonic() < deadline:
-                    time.sleep(0.01)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            if self._thread is not None and wait:
-                self._thread.join(timeout=5.0)
-            if not self._loop.is_running():
-                self._loop.close()
-
-
 BACKENDS = {
     THREAD: ThreadBackend,
     PROCESS: ProcessPoolBackend,
-    ASYNC: AsyncBackend,
 }
 
 
@@ -1024,7 +781,7 @@ def resolve_backend(choice, config: GatewayConfig):
         except KeyError:
             raise BackendError(
                 f"unknown execution backend {choice!r}; "
-                f"expected one of {sorted(BACKENDS) + [REPLICATED]}"
+                f"expected one of {sorted([*BACKENDS, REPLICATED])}"
             ) from None
         return factory(config)
     return choice

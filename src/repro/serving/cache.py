@@ -15,9 +15,8 @@ memoisation turns those repeats into dictionary lookups.
 
 :class:`SingleFlight` is the in-flight companion to the cache: keyed leader
 election so that concurrent identical requests are *coalesced* — the first
-arrival computes, the rest wait on its future.  The gateway's thread and
-process backends block on the future directly; the async backend wraps it
-in an awaitable, so every execution backend shares one coalescing table.
+arrival computes, the rest block on its future, so every execution backend
+shares one coalescing table.
 """
 
 from __future__ import annotations
@@ -215,9 +214,8 @@ class SingleFlight:
     becomes the leader (``leading=True``) and must eventually call
     ``finish`` or ``fail`` with the same future; every other caller gets the
     leader's future to wait on.  The future is a
-    :class:`concurrent.futures.Future`, so thread-pool followers block on
-    ``result(timeout)`` and asyncio followers await ``asyncio.wrap_future``
-    of it — one table serves every execution backend.
+    :class:`concurrent.futures.Future`; followers block on
+    ``result(timeout)`` — one table serves every execution backend.
     """
 
     def __init__(self) -> None:
@@ -236,9 +234,9 @@ class SingleFlight:
     def finish(self, key: Hashable, flight: Future, result: object) -> None:
         """Leader hand-off: publish the result and retire the flight.
 
-        Tolerates a flight some waiter managed to cancel (e.g. cancellation
-        propagated through an asyncio wrapper): the leader's own response is
-        already in hand and must not be destroyed by a follower's deadline.
+        Tolerates a flight some waiter managed to cancel: the leader's own
+        response is already in hand and must not be destroyed by a
+        follower's deadline.
         """
         with self._lock:
             self._flights.pop(key, None)

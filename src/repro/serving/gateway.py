@@ -5,9 +5,9 @@ search-then-AutoML jobs against one central store of privatised sketches.
 The :class:`Gateway` is the hub-and-spoke broker in front of the platform:
 
 * requests enter a pluggable :class:`~repro.serving.backends.ExecutionBackend`
-  (GIL-bound threads, a true multi-core process pool, or an asyncio event
-  loop); admission control rejects work beyond ``max_pending`` instead of
-  queueing unboundedly;
+  (GIL-bound threads, a true multi-core process pool, or WAL-shipping
+  follower processes); admission control rejects work beyond
+  ``max_pending`` instead of queueing unboundedly;
 * every request carries a deadline derived from :class:`BudgetTimer` — queue
   wait consumes the budget, and whatever remains is handed to the search
   (and AutoML) phases exactly as the single-tenant service does;
@@ -50,7 +50,6 @@ from repro.exceptions import (
 )
 from repro.faults.injector import fault_point
 from repro.obs import TraceBuffer, Tracer, span
-from repro.serving.batching import MicroBatcher
 from repro.serving.cache import CachingProxy, ResultCache, SingleFlight
 from repro.serving.fingerprint import request_fingerprint
 from repro.serving.metrics import MetricsRegistry
@@ -72,21 +71,11 @@ class GatewayConfig:
     ----------
     max_workers:
         Concurrency of the serving pipeline: worker threads for the
-        ``thread`` backend, orchestration threads for the ``process``
-        backend, and compute-executor threads for the ``async`` backend.
+        ``thread`` backend, orchestration threads for the ``process`` and
+        ``replicated`` backends.
     max_pending:
         Admission-control bound on submitted-but-unfinished requests;
         submissions beyond it raise :class:`AdmissionError`.
-    batch_max_size / batch_max_wait_ms:
-        Opt-in micro-batching of the discovery stage (search mode only).
-        When ``batch_max_size > 1``, concurrent requests reaching the
-        compute stage are collected into batch lanes keyed on
-        (mode, corpus epoch, discovery fan-out) for up to
-        ``batch_max_wait_ms`` milliseconds — or until the lane is full —
-        and ONE batched signature-matrix / CSR kernel call computes every
-        member's discovery candidates, bit-identical to solo discovery.
-        See :class:`repro.serving.batching.MicroBatcher` and
-        ``docs/TUNING.md``.
     default_time_budget_seconds:
         Deadline applied to requests submitted without an explicit budget
         (``None`` = no deadline).
@@ -102,7 +91,8 @@ class GatewayConfig:
         Serve the full search-then-AutoML pipeline
         (:class:`MileenaAutoMLService`) instead of search only.
     backend:
-        Execution backend name (``"thread"``, ``"process"``, ``"async"``).
+        Execution backend name (``"thread"``, ``"process"``,
+        ``"replicated"``).
         ``None`` defers to the platform's ``serving_backend`` hint and
         finally to ``"thread"``.
     process_workers:
@@ -232,8 +222,6 @@ class GatewayConfig:
 
     max_workers: int = 4
     max_pending: int = 64
-    batch_max_size: int = 1
-    batch_max_wait_ms: float = 2.0
     default_time_budget_seconds: float | None = None
     cache_capacity: int = 256
     cache_results: bool = True
@@ -441,18 +429,6 @@ class Gateway:
                 metrics=self.metrics,
                 name="lkg_cache",
             )
-        # Opt-in micro-batching of the discovery stage: concurrent search
-        # requests reaching the compute stage share one batched kernel call
-        # (see repro.serving.batching; AutoML requests are never batched —
-        # their compute is dominated by model training, not discovery).
-        self.batcher: MicroBatcher | None = None
-        if self.config.batch_max_size > 1 and not self.config.run_automl:
-            self.batcher = MicroBatcher(
-                platform,
-                max_size=self.config.batch_max_size,
-                max_wait_seconds=self.config.batch_max_wait_ms / 1000.0,
-                metrics=self.metrics,
-            )
         self.backend.start(self)
         # Opt-in HTTP ops surface: OpenMetrics exposition, SLO burn-rate
         # evaluation, health probes, and trace lookup over stdlib HTTP
@@ -590,10 +566,8 @@ class Gateway:
         return ops_report(self, slowest=slowest)
 
     # -- serve pipeline --------------------------------------------------------
-    # The pipeline is split into small stages so the synchronous backends
-    # (thread, process) and the asyncio backend can share every piece of
-    # the admission / cache / coalescing / stamping logic and differ only
-    # in how they wait.
+    # One pipeline for every backend: ``_serve`` runs the stages on the
+    # backend's thread and only the ``compute`` callable differs.
 
     def _begin(self, request_id: int, timer: BudgetTimer):
         """Record arrival; return (queue wait, early EXPIRED response or None)."""
@@ -654,16 +628,9 @@ class Gateway:
         """
         fault_point("gateway.compute")
         scoped = replace(request, time_budget_seconds=remaining)
-        candidates = None
-        if self.batcher is not None:
-            # Join a batch lane for the discovery stage; candidates stays
-            # None (solo discovery inside search) if the batch failed.
-            candidates = self.batcher.batch_for(self.mode, request, remaining).candidates
         with span("compute"):
             if self.config.run_automl:
                 result = self.service.run(scoped, time_budget_seconds=remaining)
-            elif candidates is not None:
-                result = self.platform.search(scoped, candidates=candidates)
             else:
                 result = self.platform.search(scoped)
         return ComputeOutcome(result=result, epoch=self.platform.corpus.epoch)
@@ -756,7 +723,7 @@ class Gateway:
             self._pending -= 1
             self.metrics.set_gauge("gateway.pending", self._pending)
 
-    # -- synchronous worker (thread + process backends) ------------------------
+    # -- worker entry point (every backend) -------------------------------------
     def _serve(
         self,
         request_id: int,
@@ -768,7 +735,8 @@ class Gateway:
 
         ``compute(request, remaining_budget) -> ComputeOutcome`` is supplied
         by the execution backend: the thread backend computes in this
-        process, the process backend ships an envelope to a worker process.
+        process, the process and replicated backends ship an envelope to a
+        worker process.
 
         Every request opens a trace (retention is the tracer's concern —
         see :class:`GatewayConfig.trace_sample_rate`); the root ``request``
@@ -800,7 +768,7 @@ class Gateway:
         timer: BudgetTimer,
         compute,
     ) -> GatewayResponse:
-        """The traced pipeline body shared by the thread and process backends.
+        """The traced pipeline body shared by every backend.
 
         Span taxonomy (see ``docs/OBSERVABILITY.md``): ``admission`` covers
         deadline accounting at entry; ``cache_lookup`` covers the cache

@@ -41,8 +41,6 @@ from repro.sketches.store import SketchStore
 JOIN = "join"
 UNION = "union"
 
-_MISS = object()
-
 
 class ShardedSketchStore:
     """A sketch store partitioned across N flat stores by dataset-name hash."""
@@ -356,121 +354,6 @@ class ShardedDiscoveryIndex:
                     )
                 ]
                 return self._merge(results, top_k)
-
-    # -- batched discovery -----------------------------------------------------
-    def join_candidates_batch(
-        self, queries: list[Relation], top_k: int | None = None
-    ) -> list[list[JoinCandidate]]:
-        """Batched :meth:`join_candidates`: one fan-out for many queries.
-
-        Entry *q* is bit-identical to ``join_candidates(queries[q], top_k)``:
-        cached queries are served from the shared cache exactly as solo
-        lookups are, and the misses run each shard's batched kernel once
-        under a single lock acquisition before the usual per-query merge.
-        """
-        return self._candidates_batch(queries, top_k, JOIN)
-
-    def union_candidates_batch(
-        self, queries: list[Relation], top_k: int | None = None
-    ) -> list[list[UnionCandidate]]:
-        """Batched :meth:`union_candidates` (idf/query norms computed once)."""
-        return self._candidates_batch(queries, top_k, UNION)
-
-    def _candidates_batch(self, queries, top_k: int | None, kind: str):
-        name = "discovery.join_queries" if kind == JOIN else "discovery.union_queries"
-        for _ in queries:
-            self._record(name)
-        fingerprints = [relation_fingerprint(query) for query in queries]
-        full_by_fingerprint: dict = {}
-        if self.cache is not None:
-            for fingerprint in fingerprints:
-                if fingerprint in full_by_fingerprint:
-                    continue
-                cached = self.cache.get((kind, fingerprint), _MISS)
-                if cached is not _MISS:
-                    full_by_fingerprint[fingerprint] = cached
-        # Compute each distinct missing fingerprint once — duplicate queries
-        # in one batch share the kernel output like repeat cache hits would.
-        distinct: list[int] = []
-        for index, fingerprint in enumerate(fingerprints):
-            if fingerprint not in full_by_fingerprint:
-                full_by_fingerprint[fingerprint] = None
-                distinct.append(index)
-        if distinct:
-            fanout = (
-                self._join_fanout_batch if kind == JOIN else self._union_fanout_batch
-            )
-            full_lists = fanout([queries[index] for index in distinct])
-            for index, full in zip(distinct, full_lists):
-                full_by_fingerprint[fingerprints[index]] = full
-                if self.cache is not None:
-                    self.cache.put((kind, fingerprints[index]), full)
-        return [
-            full[:top_k] if top_k is not None else list(full)
-            for full in (
-                full_by_fingerprint[fingerprint] for fingerprint in fingerprints
-            )
-        ]
-
-    def _join_fanout_batch(self, queries: list[Relation]) -> list[list[JoinCandidate]]:
-        with span(
-            "discovery.shard_fanout",
-            kind=JOIN,
-            num_shards=self.num_shards,
-            batch=len(queries),
-        ):
-            profiles = [profile_relation(query, self.minhasher) for query in queries]
-            with self._lock:
-                per_shard = [
-                    shard.join_candidates_for_profiles(profiles)
-                    for shard in self.shards
-                ]
-                return [
-                    self._merge(
-                        [
-                            candidate
-                            for shard_lists in per_shard
-                            for candidate in shard_lists[index]
-                        ],
-                        None,
-                    )
-                    for index in range(len(profiles))
-                ]
-
-    def _union_fanout_batch(self, queries: list[Relation]) -> list[list[UnionCandidate]]:
-        with span(
-            "discovery.shard_fanout",
-            kind=UNION,
-            num_shards=self.num_shards,
-            batch=len(queries),
-        ):
-            profiles = [profile_relation(query, self.minhasher) for query in queries]
-            with self._lock:
-                # As in the solo fan-out: corpus-level IDF weights and each
-                # query's column norms are computed once and shared by every
-                # shard's batched kernel.
-                idf = self.idf_model.idf()
-                query_norms_list = [
-                    self.shards[0].query_column_norms(profile, idf)
-                    for profile in profiles
-                ]
-                per_shard = [
-                    shard.union_candidates_for_profiles(
-                        profiles, idf=idf, query_norms_list=query_norms_list
-                    )
-                    for shard in self.shards
-                ]
-                return [
-                    self._merge(
-                        [
-                            candidate
-                            for shard_lists in per_shard
-                            for candidate in shard_lists[index]
-                        ],
-                        None,
-                    )
-                    for index in range(len(profiles))
-                ]
 
     def _merge(self, candidates, top_k: int | None):
         # The flat index sorts by descending similarity with Python's stable

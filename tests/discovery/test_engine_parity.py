@@ -16,7 +16,6 @@ import pytest
 from repro.discovery import (
     DiscoveryIndex,
     PackedSignatureMatrix,
-    TokenIndex,
     VersionedCache,
     profile_relation,
 )
@@ -246,18 +245,6 @@ def test_lsh_candidate_rows_find_identical_signatures():
     matrix.add("b", "x", signature * 100 + 7, 3)
     candidates = matrix.candidate_rows(signature[None, :])
     assert 0 in candidates and 1 not in candidates
-
-
-def test_token_index_refcounts_shared_tokens():
-    index = TokenIndex()
-    index.add("ds1", ["zip", "price", "zip"])  # zip appears in two columns
-    index.add("ds2", ["zip"])
-    assert index.datasets_sharing(["zip"]) == {"ds1", "ds2"}
-    index.remove("ds1", ["zip"])  # one of ds1's two zip columns leaves
-    assert index.datasets_sharing(["zip"]) == {"ds1", "ds2"}
-    index.remove("ds1", ["zip", "price"])
-    assert index.datasets_sharing(["zip"]) == {"ds2"}
-    assert index.datasets_sharing(["price"]) == set()
 
 
 def test_versioned_cache_invalidates_on_version_change():

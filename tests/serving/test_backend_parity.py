@@ -1,11 +1,11 @@
-"""Backend parity: thread, process, and async gateways are result identical.
+"""Backend parity: thread and process gateways are result identical.
 
 The execution backends differ in *where* requests run (GIL-bound threads,
-worker processes with their own platform replicas, an asyncio event loop)
-but must never differ in *what* they return.  This suite drives all three
-through the same workloads — join- and union-producing searches, cached
-repeats, and a mid-flight ``Corpus.add_many`` epoch bump — and compares
-responses field for field (timing measurements excluded: they are
+worker processes with their own platform replicas) but must never differ
+in *what* they return.  This suite drives both through the same
+workloads — join- and union-producing searches, cached repeats, and a
+mid-flight ``Corpus.add_many`` epoch bump — and compares responses field
+for field (timing measurements excluded: they are
 observations of the run, not part of the result).
 """
 
@@ -17,7 +17,7 @@ from repro.core.augmentation import JOIN, UNION
 from repro.datasets import CorpusSpec, generate_corpus
 from repro.serving import Gateway, GatewayConfig
 
-BACKENDS = ("thread", "process", "async")
+BACKENDS = ("thread", "process")
 
 _SPEC = CorpusSpec(num_datasets=14, requester_rows=150, provider_rows=150, seed=11)
 _INITIAL = 11  # providers registered up front; the rest arrive via add_many
@@ -119,14 +119,13 @@ def test_backend_matches_sequential_reference(corpus, reference, backend):
 
 
 def test_all_backends_byte_identical(corpus):
-    """The three backends agree with each other on every field that matters."""
+    """The backends agree with each other on every field that matters."""
     identities = {}
     for backend in BACKENDS:
         with Gateway(fresh_platform(corpus), gateway_config(backend=backend)) as gateway:
             responses = gateway.run_many(make_requests(corpus))
         identities[backend] = [response_identity(r) for r in responses]
     assert identities["process"] == identities["thread"]
-    assert identities["async"] == identities["thread"]
 
 
 def test_workload_exercises_join_and_union(corpus):
@@ -225,11 +224,11 @@ def test_unregister_churn_parity(corpus, backend):
     assert response_identity(after) == expected
 
 
-def test_async_follower_deadline_does_not_cancel_leader():
+def test_follower_deadline_does_not_cancel_leader():
     """Regression: a coalesced follower whose deadline expires while the
-    leader is still computing must cancel only its own wait — an unshielded
-    wait would propagate cancellation into the shared flight and turn the
-    leader's successfully computed response into a failure.
+    leader is still computing must cancel only its own wait — it must never
+    cancel the shared flight and turn the leader's successfully computed
+    response into a failure.
 
     Coalescing keys include the submitted budget, so leader and follower
     share one budget value; the follower expires first because it was
@@ -263,9 +262,11 @@ def test_async_follower_deadline_does_not_cancel_leader():
             return request.max_augmentations
 
     platform = BlockingPlatform()
+    # One worker thread each for the leader and both followers, so the
+    # patient follower joins the flight instead of queueing behind it.
     gateway = Gateway(
         platform,
-        GatewayConfig(max_workers=2, cache_proxy_scores=False, backend="async"),
+        GatewayConfig(max_workers=3, cache_proxy_scores=False, backend="thread"),
     )
     try:
         request = _stub_request()
@@ -279,9 +280,9 @@ def test_async_follower_deadline_does_not_cancel_leader():
         assert expired.status == "expired", (expired.status, expired.error)
         release.set()
         done = leader.result(timeout=10)
-        # Without the shield/tolerant hand-off the leader comes back FAILED
-        # (InvalidStateError from the cancelled shared future) and the
-        # patient follower is collateral damage of impatient's cancellation.
+        # A follower that cancelled the shared future would turn the leader
+        # FAILED (InvalidStateError) and make the patient follower
+        # collateral damage of impatient's expiry.
         assert done.status == "ok", (done.status, done.error)
         shared = patient.result(timeout=10)
         assert shared.status == "ok" and shared.cache_hit, (shared.status, shared.error)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import Mileena, SearchRequest, WallClock
 from repro.datasets import CorpusSpec, generate_corpus
-from repro.exceptions import AdmissionError
+from repro.exceptions import AdmissionError, BackendError
 from repro.serving import Gateway, GatewayConfig
 from repro.serving.gateway import EXPIRED, FAILED, OK, REJECTED
 
@@ -136,6 +136,44 @@ def test_run_many_converts_rejections_to_responses():
     finally:
         platform.release.set()
         gateway.shutdown()
+
+
+def test_rejection_metrics_identical_for_submit_and_run_many():
+    """submit and run_many do the exact same rejection bookkeeping."""
+
+    def series(metrics):
+        return (
+            metrics.counter_value("gateway.rejected"),
+            metrics.gauge("gateway.pending").value,
+        )
+
+    via_submit = Gateway(BlockingPlatform(), stub_config(max_pending=0))
+    via_run_many = Gateway(BlockingPlatform(), stub_config(max_pending=0))
+    try:
+        for _ in range(3):
+            with pytest.raises(AdmissionError):
+                via_submit.submit(make_stub_request())
+        responses = via_run_many.run_many([make_stub_request() for _ in range(3)])
+        assert [response.status for response in responses] == [REJECTED] * 3
+        assert series(via_submit.metrics) == series(via_run_many.metrics) == (3, 0)
+    finally:
+        via_submit.shutdown()
+        via_run_many.shutdown()
+
+
+@pytest.mark.parametrize("where", ["config", "platform"])
+def test_removed_async_backend_fails_loudly(where):
+    """A stale ``"async"`` backend name must raise, never fall back to thread."""
+    if where == "config":
+        platform, config = Mileena(), GatewayConfig(backend="async")
+    else:
+        platform, config = Mileena.sharded(backend="async"), GatewayConfig()
+    with pytest.raises(BackendError) as raised:
+        Gateway(platform, config)
+    message = str(raised.value)
+    assert "'async'" in message
+    for name in ("process", "replicated", "thread"):
+        assert name in message
 
 
 def test_zero_budget_request_expires():

@@ -1,4 +1,4 @@
-"""Trace propagation parity across the three execution backends.
+"""Trace propagation parity across the execution backends.
 
 A sampled request must come back as ONE stitched trace whatever backend
 ran it: parent-side spans (admission, cache_lookup, dispatch) plus the
@@ -14,7 +14,7 @@ from repro.core import Mileena, SearchRequest
 from repro.datasets import CorpusSpec, generate_corpus
 from repro.serving import Gateway, GatewayConfig
 
-BACKENDS = ("thread", "process", "async")
+BACKENDS = ("thread", "process")
 
 _SPEC = CorpusSpec(num_datasets=12, requester_rows=90, provider_rows=90, seed=19)
 _INITIAL = 8
