@@ -10,27 +10,18 @@ Only **dimensionless ratios measured within a single run** are compared —
 vectorized-vs-scalar discovery speedups, gateway-backend-vs-sequential
 throughput — never absolute req/s or milliseconds, which vary with the
 machine.  Ratios that exist only in one side (e.g. a baseline recorded
-before a new backend existed) are reported but not enforced, and the
-gateway's *distinct*-workload ratios (parallel compute, scales with
-cores) are enforced only when the baseline was recorded on a machine with
-the same cpu_count.
-
-One gate carries an *absolute* floor on top of the baseline comparison:
-``replication.distinct_speedup`` must stay ≥ 2.0 — the headline
-primary/follower read-scaling claim — enforced only on runners with ≥ 4
-cores (parallel speedup needs them; smaller boxes report the measurement
-and move on, like the ``faults.recovery_efficiency`` machine gate).
+before a new backend existed) are reported but not enforced, and
+machine-bound ratios (parallel compute, process spawn, constant factors;
+see :func:`enforceable`) are enforced only when the baseline was recorded
+on a machine with the same cpu_count.
 
 CI wires this up after the test job and skips it when the commit message
 contains ``[bench-skip]``; the smoke JSONs are uploaded as workflow
-artifacts either way (see ``.github/workflows/ci.yml``).  The replication
-bench has its own CI job (it spawns follower fleets), so the default
-selection excludes it — ``--only replication`` runs it alone.
+artifacts either way (see ``.github/workflows/ci.yml``).
 
-Run locally::
+Run locally (``--only discovery,gateway`` checks a subset)::
 
     PYTHONPATH=src python benchmarks/check_regression.py --out-dir /tmp/bench_smoke
-    PYTHONPATH=src python benchmarks/check_regression.py --only replication
 """
 
 from __future__ import annotations
@@ -118,89 +109,10 @@ def faults_ratios(report: dict) -> dict[str, float]:
     return ratios
 
 
-def faults_enforceable(baseline_report: dict, current_report: dict):
-    """Recovery efficiency is dominated by process-spawn cost, which
-    scales with machine and core count, so it is enforced only when the
-    committed baseline came from a machine with the same cpu_count."""
-    base_cpus = baseline_report.get("config", {}).get("cpu_count")
-    now_cpus = current_report.get("config", {}).get("cpu_count")
-    same_cores = base_cpus is not None and base_cpus == now_cpus
-    return lambda name: same_cores
-
-
-def replication_ratios(report: dict) -> dict[str, float]:
-    """Read-scaling ratios from the replication benchmark's summary."""
-    summary = report.get("summary", {})
-    return {f"replication.{name}": value for name, value in summary.items()}
-
-
-def replication_enforceable(baseline_report: dict, current_report: dict):
-    """Both replication ratios measure parallel compute across follower
-    processes and scale with cores, so the baseline comparison holds only
-    between machines with the same cpu_count.  (The absolute ≥2x floor is
-    gated separately in :func:`replication_floor_failures`.)"""
-    base_cpus = baseline_report.get("config", {}).get("cpu_count")
-    now_cpus = current_report.get("config", {}).get("cpu_count")
-    same_cores = base_cpus is not None and base_cpus == now_cpus
-    return lambda name: same_cores
-
-
-REPLICATION_MIN_SPEEDUP = 2.0
-REPLICATION_MIN_CORES = 4
-
-
-def replication_floor_failures(report: dict) -> tuple[list[str], list[str]]:
-    """The headline claim: replicated reads ≥ 2x sequential on the
-    *distinct* workload.
-
-    Unlike the relative comparisons above, this is an absolute floor on
-    the current run — a committed baseline cannot ratchet it down.
-    Parallel speedup needs cores, so it is enforced only on runners with
-    ≥ ``REPLICATION_MIN_CORES`` CPUs (the CI replication job pins one);
-    smaller boxes print the measurement and skip, mirroring the
-    ``faults.recovery_efficiency`` machine gate.
-    """
-    cpus = report.get("config", {}).get("cpu_count") or 0
-    measured = report.get("summary", {}).get("distinct_speedup")
-    name = "replication.distinct_speedup"
-    if measured is None:
-        return [], [f"{name}: missing from the current smoke report"]
-    if cpus < REPLICATION_MIN_CORES:
-        return [
-            f"  {name:<48} floor={REPLICATION_MIN_SPEEDUP:>8.2f} "
-            f"measured={measured:>8.2f}  (only {cpus} core(s), "
-            f"≥{REPLICATION_MIN_CORES} required — not enforced)"
-        ], []
-    status = "ok" if measured >= REPLICATION_MIN_SPEEDUP else "BELOW FLOOR"
-    lines = [
-        f"  {name:<48} floor={REPLICATION_MIN_SPEEDUP:>8.2f} "
-        f"measured={measured:>8.2f}  {status}"
-    ]
-    failures: list[str] = []
-    if measured < REPLICATION_MIN_SPEEDUP:
-        failures.append(
-            f"{name}: measured {measured:.2f} below the absolute "
-            f"{REPLICATION_MIN_SPEEDUP:.1f}x floor on a {cpus}-core runner"
-        )
-    return lines, failures
-
-
 def obs_ratios(report: dict) -> dict[str, float]:
     """Exposition-cost and exemplar-overhead ratios from the obs bench."""
     summary = report.get("summary", {})
     return {f"obs.{name}": value for name, value in summary.items()}
-
-
-def obs_enforceable(baseline_report: dict, current_report: dict):
-    """Both obs ratios compare single-threaded constant factors (string
-    rendering vs string rendering, attribute checks vs dict updates)
-    that shift between CPU generations and Python builds, so the
-    baseline comparison holds only between machines with the same
-    cpu_count — the same guard the faults ratio uses."""
-    base_cpus = baseline_report.get("config", {}).get("cpu_count")
-    now_cpus = current_report.get("config", {}).get("cpu_count")
-    same_cores = base_cpus is not None and base_cpus == now_cpus
-    return lambda name: same_cores
 
 
 def gateway_ratios(report: dict) -> dict[str, float]:
@@ -212,25 +124,31 @@ def gateway_ratios(report: dict) -> dict[str, float]:
     return ratios
 
 
-def gateway_enforceable(baseline_report: dict, current_report: dict):
-    """Which gateway ratios are comparable between these two machines.
+def enforceable(extract, baseline_report: dict, current_report: dict):
+    """Which of one bench's ratios are comparable between these two machines.
 
-    The *popular*-workload ratios are cache/coalescing wins and the
-    discovery ratios are single-threaded — both are core-count independent.
-    The *distinct*-workload ratios measure parallel compute and scale with
-    cores, so they are enforced only when the baseline was recorded on a
-    machine with the same cpu_count (the JSONs carry it in config).
+    Machine-bound ratios are enforced only when the baseline was recorded
+    on a machine with the same cpu_count (the JSONs carry it in config):
+
+    * gateway *distinct*-workload ratios measure parallel compute and
+      scale with cores (the *popular*-workload ratios are cache/coalescing
+      wins and hold anywhere);
+    * faults recovery efficiency is dominated by process-spawn cost;
+    * the obs ratios compare single-threaded constant factors (string
+      rendering, attribute checks vs dict updates) that shift between CPU
+      generations and Python builds.
+
+    Discovery and persist ratios are single-threaded and dimensionless,
+    so they are always enforced.
     """
     base_cpus = baseline_report.get("config", {}).get("cpu_count")
     now_cpus = current_report.get("config", {}).get("cpu_count")
     same_cores = base_cpus is not None and base_cpus == now_cpus
-
-    def enforce(name: str) -> bool:
-        if ".distinct." in name:
-            return same_cores
-        return True
-
-    return enforce
+    if extract is gateway_ratios:
+        return lambda name: same_cores or ".distinct." not in name
+    if extract in (faults_ratios, obs_ratios):
+        return lambda name: same_cores
+    return lambda name: True
 
 
 def compare(
@@ -281,9 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--only",
         default=None,
-        help="comma-separated bench names to check (e.g. 'replication' or "
-        "'discovery,gateway'); the default selection runs every bench "
-        "except 'replication', which has a dedicated CI job",
+        help="comma-separated bench names to check (e.g. 'discovery,gateway'); "
+        "the default runs every bench",
     )
     args = parser.parse_args(argv)
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -327,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         # Worker-kill recovery vs clean dispatch.  The ratio is
         # within-run and dimensionless but dominated by process-spawn
         # cost, so it is only enforced when the baseline machine matches
-        # (see faults_enforceable).
+        # (see enforceable).
         (
             "faults",
             "bench_faults.py",
@@ -348,18 +265,6 @@ def main(argv: list[str] | None = None) -> int:
             args.out_dir / "bench_obs_smoke.json",
             obs_ratios,
         ),
-        # Primary/follower read scaling.  Spawns follower process fleets,
-        # so it runs in its own CI job via --only replication; the
-        # distinct-workload ratio additionally carries the absolute ≥2x
-        # floor (see replication_floor_failures).
-        (
-            "replication",
-            "bench_replication.py",
-            ["--smoke"],
-            REPO_ROOT / "BENCH_replication.json",
-            args.out_dir / "bench_replication_smoke.json",
-            replication_ratios,
-        ),
     ]
 
     known = {name for name, *_ in benches}
@@ -371,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"unknown bench name(s) {sorted(unknown)}; choose from {sorted(known)}"
             )
     else:
-        selected = known - {"replication"}
+        selected = known
 
     all_failures: list[str] = []
     for name, script, extra, baseline_path, smoke_path, extract in benches:
@@ -389,16 +294,7 @@ def main(argv: list[str] | None = None) -> int:
         current_report = json.loads(smoke_path.read_text())
         baseline = extract(baseline_report)
         current = extract(current_report)
-        if extract is gateway_ratios:
-            enforce = gateway_enforceable(baseline_report, current_report)
-        elif extract is faults_ratios:
-            enforce = faults_enforceable(baseline_report, current_report)
-        elif extract is replication_ratios:
-            enforce = replication_enforceable(baseline_report, current_report)
-        elif extract is obs_ratios:
-            enforce = obs_enforceable(baseline_report, current_report)
-        else:
-            enforce = lambda name: True  # noqa: E731
+        enforce = enforceable(extract, baseline_report, current_report)
         print(f"\n-- {script} vs {baseline_path.name} (tolerance {args.tolerance:.0%})")
         lines, failures = compare(baseline, current, args.tolerance, enforce)
         print("\n".join(lines))
@@ -408,11 +304,6 @@ def main(argv: list[str] | None = None) -> int:
             if recall_lines:
                 print("\n".join(recall_lines))
             all_failures.extend(recall_failures)
-        if extract is replication_ratios:
-            floor_lines, floor_failures = replication_floor_failures(current_report)
-            if floor_lines:
-                print("\n".join(floor_lines))
-            all_failures.extend(floor_failures)
 
     if all_failures:
         print("\nBenchmark regression gate FAILED:")

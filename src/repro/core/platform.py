@@ -60,8 +60,8 @@ class Mileena:
     ``repro.serving.metrics.MetricsRegistry``); the gateway wires them in,
     and a bare platform works exactly as before without them.
     ``serving_backend`` is a platform-level default execution backend name
-    (``"thread"``/``"process"``/``"replicated"``) the gateway honours when
-    its own config does not name one.
+    (``"thread"``/``"process"``) the gateway honours when its own config
+    does not name one.
     """
 
     corpus: Corpus = field(default_factory=Corpus)

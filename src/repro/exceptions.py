@@ -113,17 +113,6 @@ class SnapshotCorrupt(PersistError):
     """
 
 
-class ReplicationError(PersistError):
-    """The primary/follower WAL-shipping protocol was misconfigured or broke.
-
-    Raised when a replicated backend is built without the durable-state
-    directory that is the shipping medium, or when a follower's log/chain
-    state is unrecoverable (epoch regression that no snapshot in the
-    chain can heal).  Subclass of :class:`PersistError`: replication is
-    the durable-state layer stretched across processes.
-    """
-
-
 class CausalError(ReproError):
     """A causal-inference routine received an invalid model or data."""
 

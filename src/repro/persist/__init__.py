@@ -39,8 +39,6 @@ from repro.persist.manager import (
     WAL_FILE,
     SnapshotManager,
     quarantine_corrupt,
-    sealed_segments,
-    versioned_snapshots,
 )
 from repro.persist.snapshot import (
     FORMAT_VERSION,
@@ -52,7 +50,6 @@ from repro.persist.snapshot import (
 from repro.persist.wal import (
     MutationWAL,
     WalRecord,
-    WalTailer,
     apply_records,
     read_wal_records,
 )
@@ -61,12 +58,9 @@ __all__ = [
     "SnapshotManager",
     "MutationWAL",
     "WalRecord",
-    "WalTailer",
     "apply_records",
     "read_wal_records",
     "quarantine_corrupt",
-    "sealed_segments",
-    "versioned_snapshots",
     "snapshot_platform",
     "restore_platform",
     "read_snapshot",

@@ -65,11 +65,11 @@ def quarantine_corrupt(path: Path) -> Path:
     return target
 
 
-def versioned_snapshots(directory: str | Path) -> list[tuple[int, Path]]:
+def _versioned_snapshots(directory: str | Path) -> list[tuple[int, Path]]:
     """Retained ``(epoch, snapshot-<epoch>.bin)`` pairs, oldest first.
 
-    Public because the replication follower walks the same chain the
-    loader does when it has to re-bootstrap past a pruned WAL.
+    :meth:`SnapshotManager.load` walks them newest first as fallbacks
+    when ``snapshot.bin`` fails verification; pruning drops the oldest.
     """
     versions = []
     for path in Path(directory).iterdir():
@@ -79,14 +79,15 @@ def versioned_snapshots(directory: str | Path) -> list[tuple[int, Path]]:
     return sorted(versions)
 
 
-def sealed_segments(directory: str | Path) -> list[tuple[int, Path]]:
+def _sealed_segments(directory: str | Path) -> list[tuple[int, Path]]:
     """Sealed ``(base epoch, wal-<epoch>.bin)`` pairs, oldest first.
 
     The base epoch is the epoch of the snapshot the segment *continues*
-    (its first record is ``base + 1``).  Followers replay segments in this
-    order on top of whatever snapshot they restored, then tail the live
-    WAL — the epoch guard in :func:`~repro.persist.wal.apply_records`
-    skips anything already covered.
+    (its first record is ``base + 1``).  :meth:`SnapshotManager.load`
+    replays segments in this order on top of whichever snapshot it
+    restored, then the live WAL — the epoch guard in
+    :func:`~repro.persist.wal.apply_records` skips anything already
+    covered.
     """
     segments = []
     for path in Path(directory).iterdir():
@@ -94,11 +95,6 @@ def sealed_segments(directory: str | Path) -> list[tuple[int, Path]]:
         if match:
             segments.append((int(match.group(1)), path))
     return sorted(segments)
-
-
-# Backwards-compatible internal aliases (pre-replication private names).
-_versioned_snapshots = versioned_snapshots
-_sealed_segments = sealed_segments
 
 
 class SnapshotManager:
@@ -166,7 +162,6 @@ class SnapshotManager:
         self.wal = MutationWAL(self.wal_path, fsync=fsync)
         self.snapshot_epoch: int | None = None
         self._listeners: list = []
-        self._seal_listeners: list = []
         self._mutations_since = 0
         self._last_snapshot_time = self.clock.now()
         self._attached = False
@@ -246,32 +241,13 @@ class SnapshotManager:
 
         This is the *publish* hook: the path is the freshly replaced
         ``snapshot.bin`` and the epoch is the corpus state it captures.
-        The process backend re-bases its envelope mutation log on it; the
-        replicated backend records it so respawned followers warm-start
-        from the newest image.
+        The process backend re-bases its envelope mutation log on it.
         """
         self._listeners.append(listener)
 
     def remove_listener(self, listener) -> None:
         if listener in self._listeners:
             self._listeners.remove(listener)
-
-    def add_seal_listener(self, listener) -> None:
-        """``listener(path, base_epoch)`` fires after a WAL segment is sealed.
-
-        The *seal* hook: when a cadence snapshot supersedes the live WAL,
-        the log is rotated aside as ``wal-<base_epoch>.bin`` (the segment
-        continuing snapshot ``base_epoch``) and this fires with its path.
-        Fired inside the corpus lock, like the journal feed — listeners
-        must be fast and must not mutate the corpus.  Followers in other
-        processes do not need it (they discover segments by scanning the
-        directory); it exists for primary-side bookkeeping and telemetry.
-        """
-        self._seal_listeners.append(listener)
-
-    def remove_seal_listener(self, listener) -> None:
-        if listener in self._seal_listeners:
-            self._seal_listeners.remove(listener)
 
     # -- journaling --------------------------------------------------------------
     def _observe(self, epoch: int, op: str, payload: object) -> None:
@@ -356,10 +332,7 @@ class SnapshotManager:
                     # Filesystems without hard links (or cross-device
                     # layouts) fall back to a byte copy.
                     shutil.copy2(self.snapshot_path, retained)
-            sealed_path = self.directory / f"wal-{previous_epoch:012d}.bin"
-            if self.wal.rotate(sealed_path):
-                for listener in list(self._seal_listeners):
-                    listener(sealed_path, previous_epoch)
+            self.wal.rotate(self.directory / f"wal-{previous_epoch:012d}.bin")
         else:
             self.wal.truncate()
 

@@ -211,82 +211,6 @@ class MutationWAL:
         return self._last_epoch
 
 
-class WalTailer:
-    """An incremental, read-only cursor over a live WAL file.
-
-    The replication follower's half of WAL shipping: each :meth:`poll`
-    returns the records appended since the previous poll, tracking a byte
-    offset into the valid prefix.  Three file states are handled without
-    ever disturbing the primary's append handle:
-
-    * **torn tail** — the primary is mid-append (or crashed there).  The
-      cursor stops at the tear and stays put; a later poll resumes once
-      the frame is complete.  A tear is *expected*, never an error.
-    * **rotation** — the primary sealed the log (``MutationWAL.rotate``
-      replaces ``wal.bin`` with a fresh file, so the inode changes).  The
-      cursor resets to the head of the new file and bumps
-      :attr:`rotations`; whatever it had not yet read from the old file
-      now lives in the sealed ``wal-<epoch>.bin`` segment, which the
-      follower replays from the chain (see
-      :class:`repro.replication.follower.FollowerReplica`).  The
-      epoch guard in :func:`apply_records` makes the overlap idempotent.
-    * **in-place truncation** — ``MutationWAL.truncate`` also swaps the
-      inode; a same-inode shrink (never produced by this codebase) is
-      handled identically, by resetting to the head.
-
-    The inode is read with ``fstat`` on the *opened* handle, so a rotation
-    racing the poll is detected on the next poll rather than silently
-    misreading the new file at a stale offset.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._offset = 0
-        self._ino: int | None = None
-        self.rotations = 0
-
-    @property
-    def offset(self) -> int:
-        """Byte offset of the valid prefix consumed so far."""
-        return self._offset
-
-    def poll(self) -> list[WalRecord]:
-        """Records appended since the last poll (empty when none are visible)."""
-        try:
-            handle = open(self.path, "rb")
-        except FileNotFoundError:
-            return []
-        with handle:
-            stat = os.fstat(handle.fileno())
-            if self._ino is not None and stat.st_ino != self._ino:
-                # The primary sealed this log and started a fresh one
-                # under the same name; start over at the new file's head.
-                self._offset = 0
-                self.rotations += 1
-            self._ino = stat.st_ino
-            if stat.st_size < self._offset:
-                self._offset = 0
-            handle.seek(self._offset)
-            raw = handle.read()
-        base = self._offset
-        offset = 0
-        if base == 0:
-            if len(raw) < len(WAL_MAGIC):
-                return []  # header not fully visible yet
-            if not raw.startswith(WAL_MAGIC):
-                raise PersistError(f"{self.path} is not a Mileena WAL (bad magic)")
-            offset = len(WAL_MAGIC)
-        records: list[WalRecord] = []
-        while offset < len(raw):
-            record, next_offset = MutationWAL._decode(raw, offset)
-            if record is None:
-                break
-            records.append(record)
-            offset = next_offset
-        self._offset = base + offset
-        return records
-
-
 def read_wal_records(path: str | Path) -> list[WalRecord]:
     """Every valid-prefix record of the WAL (or sealed segment) at ``path``.
 

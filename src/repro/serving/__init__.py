@@ -2,7 +2,7 @@
 
 The serving stack, outside in: a :class:`Gateway` (admission control,
 deadlines, result cache, request coalescing) dispatches onto a pluggable
-execution backend (``thread``/``process``/``replicated``), which drives a
+execution backend (``thread``/``process``), which drives a
 platform whose corpus is a :class:`ShardedSketchStore` +
 :class:`ShardedDiscoveryIndex`.  ``docs/ARCHITECTURE.md`` draws the full
 picture; ``docs/TUNING.md`` covers knob selection.  The knobs reachable

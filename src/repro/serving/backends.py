@@ -24,9 +24,6 @@ a backend decides *where* requests run:
     result.  Orchestration (cache, coalescing, deadlines) stays in parent
     threads, so all backends share one cache and one coalescing table.
 
-``replicated``
-    WAL-shipping follower processes (see :mod:`repro.replication`).
-
 All backends are result identical under concurrent
 register/unregister churn — ``tests/serving/test_backend_parity.py`` is
 the contract.
@@ -51,10 +48,6 @@ from repro.serving.gateway import ComputeOutcome, GatewayConfig, GatewayResponse
 
 THREAD = "thread"
 PROCESS = "process"
-#: Primary/follower WAL-shipping replication (read scaling); the backend
-#: class lives in :mod:`repro.replication.backend` and is resolved
-#: lazily so importing the serving layer never pulls in the persist one.
-REPLICATED = "replicated"
 
 
 @runtime_checkable
@@ -156,8 +149,8 @@ class PlatformSpec:
     #: results would diverge).  Captured with
     #: :func:`repro.persist.snapshot.capture_engine_config` and rebuilt
     #: with :func:`repro.persist.snapshot.build_corpus_stores` — the same
-    #: pair the snapshot format uses, so the two replication paths can
-    #: never drift apart knob by knob.
+    #: pair the snapshot format uses, so replica bootstrap and snapshot
+    #: restore can never drift apart knob by knob.
     index: dict
     discovery_top_k: int
     search_fraction: float
@@ -772,16 +765,12 @@ BACKENDS = {
 def resolve_backend(choice, config: GatewayConfig):
     """An :class:`ExecutionBackend` instance from a name or an instance."""
     if isinstance(choice, str):
-        if choice == REPLICATED:
-            from repro.replication.backend import ReplicatedBackend
-
-            return ReplicatedBackend(config)
         try:
             factory = BACKENDS[choice]
         except KeyError:
             raise BackendError(
                 f"unknown execution backend {choice!r}; "
-                f"expected one of {sorted([*BACKENDS, REPLICATED])}"
+                f"expected one of {sorted(BACKENDS)}"
             ) from None
         return factory(config)
     return choice

@@ -5,9 +5,9 @@ search-then-AutoML jobs against one central store of privatised sketches.
 The :class:`Gateway` is the hub-and-spoke broker in front of the platform:
 
 * requests enter a pluggable :class:`~repro.serving.backends.ExecutionBackend`
-  (GIL-bound threads, a true multi-core process pool, or WAL-shipping
-  follower processes); admission control rejects work beyond
-  ``max_pending`` instead of queueing unboundedly;
+  (GIL-bound threads or a true multi-core process pool); admission
+  control rejects work beyond ``max_pending`` instead of queueing
+  unboundedly;
 * every request carries a deadline derived from :class:`BudgetTimer` — queue
   wait consumes the budget, and whatever remains is handed to the search
   (and AutoML) phases exactly as the single-tenant service does;
@@ -71,8 +71,8 @@ class GatewayConfig:
     ----------
     max_workers:
         Concurrency of the serving pipeline: worker threads for the
-        ``thread`` backend, orchestration threads for the ``process`` and
-        ``replicated`` backends.
+        ``thread`` backend, orchestration threads for the ``process``
+        backend.
     max_pending:
         Admission-control bound on submitted-but-unfinished requests;
         submissions beyond it raise :class:`AdmissionError`.
@@ -91,8 +91,7 @@ class GatewayConfig:
         Serve the full search-then-AutoML pipeline
         (:class:`MileenaAutoMLService`) instead of search only.
     backend:
-        Execution backend name (``"thread"``, ``"process"``,
-        ``"replicated"``).
+        Execution backend name (``"thread"`` or ``"process"``).
         ``None`` defers to the platform's ``serving_backend`` hint and
         finally to ``"thread"``.
     process_workers:
@@ -193,23 +192,9 @@ class GatewayConfig:
         last-known-good cache when possible (``None`` disables the
         pressure check).
     redispatch_attempts:
-        Process and replicated backends: how many times a broken-pool
-        dispatch is re-sent to freshly respawned replicas (or, for the
-        replicated backend, to a sibling follower) before falling back
-        to a parent-local compute.
-    follower_count:
-        Replicated backend only: how many follower processes serve
-        reads.  Each follower warm-starts from the snapshot chain and
-        tails the primary's WAL, so ``snapshot_dir`` (or a platform-level
-        snapshot manager) is mandatory with ``backend="replicated"``.
-    follower_poll_seconds:
-        How long a catching-up follower sleeps between polls of the
-        shared durable directory while waiting for the primary's WAL
-        flush to become visible.
-    follower_catchup_timeout_seconds:
-        Per-request catch-up budget on the follower: past it the
-        follower reports ``stale`` and the primary recomputes locally
-        instead of blocking the read behind a wedged primary.
+        Process backend: how many times a broken-pool dispatch is re-sent
+        to freshly respawned replicas before falling back to a
+        parent-local compute.
 
     Discovery-side knobs (``use_lsh``, ``lsh_bands``, ``target_recall``,
     ``multi_probe``, the index-level ``cache_capacity``) live on the
@@ -254,9 +239,6 @@ class GatewayConfig:
     degraded_top_k: int = 8
     degrade_pressure_seconds: float | None = None
     redispatch_attempts: int = 2
-    follower_count: int = 2
-    follower_poll_seconds: float = 0.02
-    follower_catchup_timeout_seconds: float = 5.0
 
 
 @dataclass
@@ -272,10 +254,7 @@ class ComputeOutcome:
     parent track which mutation-log entries every replica has applied (so
     acknowledged entries can be dropped from future envelopes), and
     ``reloaded`` reports that the replica re-bootstrapped itself from the
-    latest snapshot file to catch up.  ``lag`` is the replicated
-    backend's read-scaling signal: how many epochs behind the request's
-    expected epoch the serving follower *started* (0 for every other
-    backend, and for a follower that was already current).
+    latest snapshot file to catch up.
     """
 
     result: SearchResult | AutoMLServiceResult | None
@@ -283,7 +262,6 @@ class ComputeOutcome:
     stale: bool = False
     worker: int | None = None
     reloaded: bool = False
-    lag: int = 0
     #: Replica-side span records (``repro.obs.trace.SpanRecord`` rows) a
     #: process-pool worker collected while computing this outcome; the
     #: parent stitches them into the live trace with ``attach_records``.
@@ -735,8 +713,8 @@ class Gateway:
 
         ``compute(request, remaining_budget) -> ComputeOutcome`` is supplied
         by the execution backend: the thread backend computes in this
-        process, the process and replicated backends ship an envelope to a
-        worker process.
+        process, the process backend ships an envelope to a worker
+        process.
 
         Every request opens a trace (retention is the tracer's concern —
         see :class:`GatewayConfig.trace_sample_rate`); the root ``request``

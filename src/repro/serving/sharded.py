@@ -96,15 +96,6 @@ class ShardedSketchStore:
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
 
-    def shard_sizes(self) -> list[int]:
-        """Per-shard dataset counts, in shard order.
-
-        The hash-skew signal: the ops surface and replication bootstrap
-        spans report it so an unlucky name distribution (one hot shard
-        soaking up the corpus) is visible without poking at internals.
-        """
-        return [len(shard) for shard in self.shards]
-
     def datasets(self) -> list[str]:
         """All registered dataset names, in global registration order."""
         return list(self._sequence)
@@ -263,10 +254,6 @@ class ShardedDiscoveryIndex:
 
     def __len__(self) -> int:
         return sum(len(shard) for shard in self.shards)
-
-    def shard_sizes(self) -> list[int]:
-        """Per-shard profile counts, in shard order (the hash-skew signal)."""
-        return [len(shard) for shard in self.shards]
 
     def profiles_in_order(self) -> list[DatasetProfile]:
         """Every registered profile, in *global* registration order.

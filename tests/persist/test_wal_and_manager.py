@@ -14,7 +14,7 @@ import pytest
 from repro.core import Mileena, SimulatedClock
 from repro.datasets import CorpusSpec, generate_corpus
 from repro.exceptions import PersistError
-from repro.persist import MutationWAL, apply_records
+from repro.persist import MutationWAL, apply_records, read_wal_records
 
 _SPEC = CorpusSpec(num_datasets=14, requester_rows=100, provider_rows=100, seed=5)
 
@@ -73,6 +73,26 @@ def test_wal_truncate_resets(tmp_path):
     wal.append(2, "add", "y")
     wal.close()
     assert [r.epoch for r in MutationWAL(tmp_path / "wal.bin").replay()] == [2]
+
+
+def test_wal_rotate_seals_records_and_restarts_live_log(tmp_path):
+    path = tmp_path / "wal.bin"
+    sealed = tmp_path / "wal-000000000000.bin"
+    wal = MutationWAL(path)
+    empty = path.read_bytes()
+    assert wal.rotate(sealed) is False  # nothing to seal: file left alone
+    assert not sealed.exists()
+    assert path.read_bytes() == empty
+
+    for epoch in (1, 2, 3):
+        wal.append(epoch, "add", epoch)
+    assert wal.rotate(sealed) is True
+    assert [r.epoch for r in read_wal_records(sealed)] == [1, 2, 3]
+    assert wal.record_count == 0 and wal.last_epoch is None
+    assert read_wal_records(path) == []  # the live log restarted empty
+    wal.append(4, "remove", 1)
+    wal.close()
+    assert [(r.epoch, r.op) for r in MutationWAL(path).replay()] == [(4, "remove")]
 
 
 def test_wal_refuses_foreign_file(tmp_path):

@@ -161,19 +161,29 @@ def test_rejection_metrics_identical_for_submit_and_run_many():
         via_run_many.shutdown()
 
 
-@pytest.mark.parametrize("where", ["config", "platform"])
-def test_removed_async_backend_fails_loudly(where):
-    """A stale ``"async"`` backend name must raise, never fall back to thread."""
+@pytest.mark.parametrize(
+    "where, name",
+    [
+        pytest.param("config", "async", id="config"),
+        pytest.param("platform", "async", id="platform"),
+        pytest.param("config", "replicated", id="config-replicated"),
+        pytest.param("platform", "replicated", id="platform-replicated"),
+    ],
+)
+def test_removed_async_backend_fails_loudly(where, name):
+    """A removed backend name (``"async"``, ``"replicated"``) must raise,
+    never fall back to thread."""
     if where == "config":
-        platform, config = Mileena(), GatewayConfig(backend="async")
+        platform, config = Mileena(), GatewayConfig(backend=name)
     else:
-        platform, config = Mileena.sharded(backend="async"), GatewayConfig()
+        platform, config = Mileena.sharded(backend=name), GatewayConfig()
     with pytest.raises(BackendError) as raised:
         Gateway(platform, config)
     message = str(raised.value)
-    assert "'async'" in message
-    for name in ("process", "replicated", "thread"):
-        assert name in message
+    assert f"{name!r}" in message
+    expected = message.split("expected one of", 1)[1]
+    assert "process" in expected and "thread" in expected
+    assert "replicated" not in expected
 
 
 def test_zero_budget_request_expires():
