@@ -34,6 +34,7 @@ from repro.faults.injector import (
     armed,
     disarm,
     fault_bytes,
+    fault_file,
     fault_point,
     pending_fault,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "active_injector",
     "fault_point",
     "fault_bytes",
+    "fault_file",
     "pending_fault",
     "CRASH",
     "RAISE",

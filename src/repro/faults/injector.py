@@ -47,6 +47,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.exceptions import InjectedFault
 
@@ -262,6 +263,24 @@ def fault_bytes(site: str, data: bytes) -> bytes:
         return data
     spec, hit = match
     return spec.transform(data, hit)
+
+
+def fault_file(site: str, path: str | Path) -> None:
+    """Consult ``site`` and rewrite the file at ``path`` through any matched byte fault.
+
+    For writers that stream to a file instead of building its bytes in
+    memory: the file's full contents get the same transform
+    :func:`fault_bytes` would apply to them.
+    """
+    injector = _INJECTOR
+    if injector is None:
+        return
+    match = injector.fire(site)
+    if match is None:
+        return
+    spec, hit = match
+    path = Path(path)
+    path.write_bytes(spec.transform(path.read_bytes(), hit))
 
 
 def pending_fault(site: str) -> FaultSpec | None:

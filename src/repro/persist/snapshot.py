@@ -37,7 +37,7 @@ import struct
 from pathlib import Path
 
 from repro.exceptions import PersistError, SnapshotCorrupt
-from repro.faults.injector import fault_bytes
+from repro.faults.injector import fault_file
 from repro.obs import span
 
 SNAPSHOT_MAGIC = b"MILSNAP\x00"
@@ -51,34 +51,61 @@ def write_snapshot(path: str | Path, sections: dict, fsync: bool = True) -> int:
     The temp file lives in the destination directory (``os.replace`` must
     not cross filesystems) and is fsynced — along with the directory entry
     when ``fsync`` is true — so the rename publishes only durable bytes.
+
+    The payload is pickled straight into the file behind a zeroed header
+    that is filled in once its length and checksum are known, so no copy
+    of the serialised payload is ever held in memory.  The bytes are the
+    same as ``header + pickle.dumps(sections)``.
     """
     path = Path(path)
-    payload = pickle.dumps(sections, protocol=pickle.HIGHEST_PROTOCOL)
-    header = _HEADER.pack(
-        SNAPSHOT_MAGIC, FORMAT_VERSION, len(payload), hashlib.sha256(payload).digest()
-    )
-    # Chaos-suite site: an armed truncate/corrupt plan mangles the blob
-    # here — *after* framing, so the published file fails verification
-    # exactly the way a torn disk write would.
-    blob = fault_bytes("snapshot.write", header + payload)
     tmp_path = path.with_name(f".{path.name}.tmp.{os.getpid()}")
     try:
         with open(tmp_path, "wb") as handle:
-            handle.write(blob)
+            handle.write(bytes(_HEADER.size))
+            sink = _DigestingWriter(handle)
+            pickle.dump(sections, sink, protocol=pickle.HIGHEST_PROTOCOL)
+            handle.seek(0)
+            handle.write(
+                _HEADER.pack(
+                    SNAPSHOT_MAGIC, FORMAT_VERSION, sink.length, sink.digest.digest()
+                )
+            )
             handle.flush()
             if fsync:
                 os.fsync(handle.fileno())
+        # Chaos-suite site: an armed truncate/corrupt plan mangles the
+        # finished file here — *after* framing, so the published file fails
+        # verification exactly the way a torn disk write would.
+        fault_file("snapshot.write", tmp_path)
         os.replace(tmp_path, path)
     except OSError as error:
         tmp_path.unlink(missing_ok=True)
         raise PersistError(f"could not write snapshot {path}: {error}") from error
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        raise
     if fsync:
         directory_fd = os.open(path.parent, os.O_RDONLY)
         try:
             os.fsync(directory_fd)
         finally:
             os.close(directory_fd)
-    return _HEADER.size + len(payload)
+    return _HEADER.size + sink.length
+
+
+class _DigestingWriter:
+    """A write-only file object that forwards to ``handle``, hashing and counting."""
+
+    def __init__(self, handle) -> None:
+        self._handle = handle
+        self.digest = hashlib.sha256()
+        self.length = 0
+
+    def write(self, data) -> int:
+        self.digest.update(data)
+        written = self._handle.write(data)
+        self.length += written
+        return written
 
 
 def read_snapshot(path: str | Path) -> dict:

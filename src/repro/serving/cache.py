@@ -21,6 +21,7 @@ shares one coalescing table.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
@@ -274,11 +275,12 @@ class CachingProxy:
         )
 
     def evaluate(self, train_element, test_element, target: str):
-        key = (
-            element_fingerprint(train_element),
-            element_fingerprint(test_element),
-            target,
-        )
+        # One 16-byte digest per entry: the cache fills to capacity on
+        # workloads that rarely repeat, so the key's size is its footprint.
+        fingerprints = element_fingerprint(train_element) + element_fingerprint(test_element)
+        key = hashlib.blake2b(
+            (fingerprints + target).encode("utf-8"), digest_size=16
+        ).digest()
         return self.cache.get_or_compute(
             key, lambda: self.inner.evaluate(train_element, test_element, target)
         )

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import AugmentationState, SketchProxyModel
+from repro.core.proxy import _combine_branches
 from repro.exceptions import SketchError
 from repro.ml import LinearRegression, r2_score
+from repro.privacy import FactorizedPrivacyMechanism, PrivacyBudget
 from repro.relational import KEY, NUMERIC, Relation, Schema, join
-from repro.sketches import SketchBuilder
+from repro.semiring import CovarianceElement
+from repro.sketches import RelationSketch, SketchBuilder, vertical_augment
 
 
 def make_task(seed=0, n=300, zones=8):
@@ -165,3 +168,155 @@ def test_multi_key_branches_combine():
     proxy = SketchProxyModel()
     score = proxy.evaluate(element, state.test_element(), "y")
     assert score.test_r2 > 0.8
+
+
+# -- packed join chain vs the scalar oracle -------------------------------------------
+def oracle_element(state, split):
+    """The scalar chain: ``vertical_augment`` left folds, a ``+`` collapse, branches."""
+    total = state.train_total if split == "train" else state.test_total
+    keyed = state.train_keyed if split == "train" else state.test_keyed
+    branches = []
+    for key, sketches in state.accepted_joins.items():
+        merged = keyed[key]
+        for sketch in sketches:
+            merged = vertical_augment(merged, sketch.keyed_sketch(key))
+        collapsed = None
+        for element in merged.values():
+            collapsed = element if collapsed is None else collapsed + element
+        if collapsed is None:
+            raise SketchError("join produced no matching key groups")
+        branches.append(collapsed)
+    if not branches:
+        return total
+    return branches[0] if len(branches) == 1 else _combine_branches(total, branches)
+
+
+def assert_bit_identical(state):
+    for split, element in (("train", state.train_element()), ("test", state.test_element())):
+        expected = oracle_element(state, split)
+        assert element.features == expected.features
+        assert np.float64(element.count).tobytes() == np.float64(expected.count).tobytes()
+        assert element.sums.tobytes() == expected.sums.tobytes()
+        assert element.products.tobytes() == expected.products.tobytes()
+
+
+def random_groups(rng, keys, features, sign=1.0):
+    return {
+        key: CovarianceElement.from_matrix(
+            features, sign * rng.random((int(rng.integers(1, 5)), len(features)))
+        )
+        for key in keys
+    }
+
+
+def make_sketch(name, features, keyed, rng, private=False):
+    if private:
+        mechanism = FactorizedPrivacyMechanism(rng=rng)
+        keyed = {
+            key: mechanism.privatize_keyed(groups, PrivacyBudget(1.0, 1e-6))
+            for key, groups in keyed.items()
+        }
+    total = CovarianceElement.from_matrix(features, rng.random((6, len(features))))
+    return RelationSketch(name, tuple(features), total, keyed=keyed, private=private)
+
+
+def provider_keys(rng, keys):
+    """A shuffled partial overlap with ``keys`` plus values the requester lacks."""
+    kept = [key for index, key in enumerate(keys) if index == 0 or index % 5]
+    extra = [f"other{index}" for index in range(3)]
+    order = rng.permutation(len(kept) + len(extra))
+    return [(kept + extra)[index] for index in order]
+
+
+@pytest.mark.parametrize("private", [False, True])
+@pytest.mark.parametrize("num_keys", [1, 7, 9, 130, 300])
+def test_packed_chain_matches_scalar_oracle(num_keys, private):
+    rng = np.random.default_rng([num_keys, private])
+    keys = [f"k{index}" for index in range(num_keys)]
+    requester = ("local", "y")
+
+    def requester_sketch(name):
+        return make_sketch(name, requester, {"zone": random_groups(rng, keys, requester)}, rng, private)
+
+    def provider(name, feature):
+        groups = random_groups(rng, provider_keys(rng, keys), (feature,))
+        return make_sketch(name, (feature,), {"zone": groups}, rng, private)
+
+    state = AugmentationState.from_sketches("y", requester_sketch("train"), requester_sketch("test"))
+    first = provider("p1", "a")
+    second = provider("p2", "b")
+    assert_bit_identical(state.with_join("zone", first))
+    # Two sketches accepted on one key, and every trial on top of the memoised prefix.
+    accepted = state.with_join("zone", first)
+    for candidate in (second, provider("p3", "c")):
+        assert_bit_identical(accepted.with_join("zone", candidate))
+    assert_bit_identical(accepted.with_join("zone", second).with_join("zone", provider("p4", "d")))
+
+
+def test_packed_join_keeps_signed_zeros():
+    """A zero-sum requester feature joined to a negative partner, and -0.0 inputs."""
+    rng = np.random.default_rng(4)
+    keys = [f"k{index}" for index in range(12)]
+    features = ("zero", "y")
+    groups = {}
+    for key in keys:
+        element = CovarianceElement.from_matrix(
+            features, np.column_stack([np.zeros(3), rng.random(3)])
+        )
+        products = element.products.copy()
+        products[0, 0] = -0.0
+        groups[key] = CovarianceElement(features, element.count, element.sums, products)
+    train = make_sketch("train", features, {"zone": groups}, rng)
+    test = make_sketch("test", features, {"zone": dict(groups)}, rng)
+    negative = random_groups(rng, keys, ("neg",), sign=-1.0)
+    negative[keys[0]] = CovarianceElement(("neg",), 2.0, np.array([-0.0]), np.array([[-0.0]]))
+    partner = make_sketch("neg", ("neg",), {"zone": negative}, rng)
+    state = AugmentationState.from_sketches("y", train, test).with_join("zone", partner)
+    assert_bit_identical(state)
+    products = state.train_element().products
+    assert not np.signbit(products[0, 2]) and not np.signbit(products[2, 0])
+
+
+def test_packed_chain_matches_oracle_across_keys_and_unions():
+    rng = np.random.default_rng(11)
+    zones = [f"z{index}" for index in range(40)]
+    months = [f"m{index}" for index in range(12)]
+    requester = ("local", "y")
+
+    def requester_sketch(name):
+        keyed = {
+            "zone": random_groups(rng, zones, requester),
+            "month": random_groups(rng, months, requester),
+        }
+        return make_sketch(name, requester, keyed, rng)
+
+    def provider(name, feature, key, values):
+        groups = random_groups(rng, provider_keys(rng, values), (feature,))
+        return make_sketch(name, (feature,), {key: groups}, rng)
+
+    state = AugmentationState.from_sketches("y", requester_sketch("train"), requester_sketch("test"))
+    zone_state = state.with_join("zone", provider("zp", "zlat", "zone", zones))
+    both = zone_state.with_join("month", provider("mp", "mlat", "month", months))
+    assert_bit_identical(both)
+    assert_bit_identical(both.with_join("zone", provider("zp2", "zlat2", "zone", zones)))
+    # A union replaces the train-side keyed statistics; joins after it still agree.
+    extra = requester_sketch("more")
+    unioned = zone_state.with_union(extra)
+    assert_bit_identical(unioned)
+    assert_bit_identical(unioned.with_join("zone", provider("zp3", "zlat3", "zone", zones)))
+    assert_bit_identical(unioned.with_join("month", provider("mp2", "mlat2", "month", months)))
+
+
+def test_empty_key_intersection_raises_like_the_oracle():
+    rng = np.random.default_rng(2)
+    requester = ("local", "y")
+    train = make_sketch("train", requester, {"zone": random_groups(rng, ["a", "b"], requester)}, rng)
+    test = make_sketch("test", requester, {"zone": random_groups(rng, ["a"], requester)}, rng)
+    disjoint = make_sketch("p", ("f",), {"zone": random_groups(rng, ["c", "d"], ("f",))}, rng)
+    state = AugmentationState.from_sketches("y", train, test).with_join("zone", disjoint)
+    for split, element in (("train", state.train_element), ("test", state.test_element)):
+        with pytest.raises(SketchError) as oracle_error:
+            oracle_element(state, split)
+        with pytest.raises(SketchError) as packed_error:
+            element()
+        assert str(packed_error.value) == str(oracle_error.value)

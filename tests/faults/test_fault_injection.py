@@ -9,6 +9,7 @@ from repro.faults import (
     active_injector,
     armed,
     fault_bytes,
+    fault_file,
     fault_point,
     pending_fault,
 )
@@ -68,6 +69,22 @@ def test_fault_bytes_transforms_only_matching_hits():
         assert fault_bytes("w", data) == data  # hit 1 untouched
         assert fault_bytes("w", data) != data  # hit 2 corrupted
         assert fault_bytes("w", data) == data  # hit 3 untouched
+
+
+def test_fault_file_rewrites_the_file_as_fault_bytes_would(tmp_path):
+    path = tmp_path / "blob.bin"
+    data = bytes(range(64))
+    path.write_bytes(data)
+    fault_file("w", tmp_path / "missing.bin")  # disarmed: never touches the file
+    plan = FaultPlan(seed=5).corrupt("w", on_hit=2)
+    with armed(plan):
+        fault_file("w", path)  # hit 1 untouched
+        assert path.read_bytes() == data
+        fault_file("w", path)  # hit 2 rewritten
+    with armed(plan):
+        fault_bytes("w", data)
+        expected = fault_bytes("w", data)
+    assert path.read_bytes() == expected != data
 
 
 def test_pending_fault_counts_in_parent_and_returns_spec():

@@ -7,12 +7,17 @@ into identical packed structures, and join/union/search results — down to
 the final model's coefficient bytes — match the never-persisted original.
 """
 
+import hashlib
+import pickle
+import struct
+
+import numpy as np
 import pytest
 
 from repro.core import Mileena, SearchRequest
 from repro.datasets import CorpusSpec, generate_corpus
 from repro.exceptions import PersistError
-from repro.persist import read_snapshot, write_snapshot
+from repro.persist import read_snapshot, snapshot_platform, write_snapshot
 
 _SPEC = CorpusSpec(num_datasets=12, requester_rows=120, provider_rows=120, seed=3)
 
@@ -132,6 +137,21 @@ def test_save_leaves_no_temp_files(tmp_path, corpus):
     live.save(tmp_path / "snapshot.bin")
     live.save(tmp_path / "snapshot.bin")  # overwrite goes through rename too
     assert sorted(p.name for p in tmp_path.iterdir()) == ["snapshot.bin"]
+
+
+def test_streamed_write_is_the_framed_pickle(tmp_path, corpus):
+    live = populate(Mileena(), corpus, with_churn=False)
+    # A 160 KB array goes past the pickler's frame buffer straight to the
+    # file object, the path a plain in-memory ``pickle.dumps`` never takes.
+    sections = {**snapshot_platform(live), "large": np.arange(20_000.0)}
+    path = tmp_path / "snapshot.bin"
+    written = write_snapshot(path, sections)
+    payload = pickle.dumps(sections, protocol=pickle.HIGHEST_PROTOCOL)
+    header = struct.pack(
+        "<8sIQ32s", b"MILSNAP\x00", 1, len(payload), hashlib.sha256(payload).digest()
+    )
+    assert path.read_bytes() == header + payload
+    assert written == len(header) + len(payload)
 
 
 def test_checksum_mismatch_refused(tmp_path):

@@ -203,6 +203,31 @@ def test_caching_proxy_memoises_identical_elements():
     assert counting.calls == 2
 
 
+def test_caching_proxy_keys_entries_by_one_content_digest():
+    import numpy as np
+
+    rows = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 5.0], [4.0, 6.5]])
+    train = CovarianceElement.from_matrix(("x", "y"), rows)
+    test = CovarianceElement.from_matrix(("x", "y"), rows[:3])
+    counting = CountingProxy()
+    proxy = CachingProxy(counting)
+    proxy.evaluate(train, test, "y")
+    # Equal content in fresh objects hits.
+    proxy.evaluate(
+        CovarianceElement.from_matrix(("x", "y"), rows),
+        CovarianceElement.from_matrix(("x", "y"), rows[:3]),
+        "y",
+    )
+    assert counting.calls == 1
+    # Different content (train and test swapped) or a different target misses.
+    proxy.evaluate(test, train, "y")
+    proxy.evaluate(train, test, "x")
+    assert counting.calls == 3
+    keys = list(proxy.cache._entries)
+    assert len(keys) == 3
+    assert all(isinstance(key, bytes) and len(key) == 16 for key in keys)
+
+
 def test_cache_version_source_scopes_entries_to_epoch():
     epoch = {"value": 0}
     cache = ResultCache(capacity=8, version_source=lambda: epoch["value"])
