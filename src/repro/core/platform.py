@@ -85,7 +85,6 @@ class Mileena:
         backend: str | None = None,
         snapshot_dir: str | None = None,
         snapshot_every_mutations: int | None = 64,
-        snapshot_every_seconds: float | None = None,
         **kwargs,
     ) -> "Mileena":
         """A platform whose sketch store and discovery index are sharded.
@@ -101,9 +100,10 @@ class Mileena:
         use (``"process"`` for true multi-core parallelism — see
         ``repro.serving.backends``).  ``snapshot_dir`` makes the platform
         durable: a :class:`~repro.persist.SnapshotManager` journals every
-        registration change to a WAL and re-snapshots on the given
-        cadence, so a restart is ``Mileena.load(snapshot_dir)`` instead of
-        a full rebuild.
+        registration change to a WAL and re-snapshots every
+        ``snapshot_every_mutations`` mutations, so a restart is
+        ``Mileena.load(snapshot_dir)`` instead of a full rebuild (a
+        time-based cadence is ``attach_snapshots(every_seconds=...)``).
         """
         from repro.serving.sharded import ShardedDiscoveryIndex, ShardedSketchStore
 
@@ -120,9 +120,7 @@ class Mileena:
         platform = cls(corpus=corpus, serving_backend=backend, **kwargs)
         if snapshot_dir is not None:
             platform.attach_snapshots(
-                snapshot_dir,
-                every_mutations=snapshot_every_mutations,
-                every_seconds=snapshot_every_seconds,
+                snapshot_dir, every_mutations=snapshot_every_mutations
             )
         return platform
 
@@ -275,37 +273,36 @@ class Mileena:
 
     # -- requester side -------------------------------------------------------------
     def discover_candidates(
-        self, request: SearchRequest, top_k: int | None = None
+        self, request: SearchRequest
     ) -> list[AugmentationCandidate]:
         """``Discover(R, ∪)`` and ``Discover(R, ⋈)`` for one request.
 
-        ``top_k`` overrides the platform's ``discovery_top_k`` for this
-        call (the gateway's degraded cheap path narrows the fan-out this
-        way).  When a serving-layer cache is attached, the candidate list
-        is memoised on (train-relation fingerprint, join keys, effective
-        top-k, corpus epoch): requests sharing a requester relation skip
-        re-profiling and re-scanning, and any register/unregister bumps
-        the epoch so stale candidates are never served.
+        Each side keeps its ``discovery_top_k`` best candidates.  When a
+        serving-layer cache is attached, the candidate list is memoised on
+        (train-relation fingerprint, join keys, top-k, corpus epoch):
+        requests sharing a requester relation skip re-profiling and
+        re-scanning, and any register/unregister bumps the epoch so stale
+        candidates are never served.
         """
-        effective_top_k = top_k if top_k is not None else self.discovery_top_k
         if self.cache is None:
-            return self._discover_candidates(request, effective_top_k)
+            return self._discover_candidates(request)
         from repro.serving.fingerprint import relation_fingerprint
 
         key = (
             "discover",
             relation_fingerprint(request.train),
             tuple(request.join_keys),
-            effective_top_k,
+            self.discovery_top_k,
             self.corpus.epoch,
         )
         return self.cache.get_or_compute(
-            key, lambda: self._discover_candidates(request, effective_top_k)
+            key, lambda: self._discover_candidates(request)
         )
 
     def _discover_candidates(
-        self, request: SearchRequest, top_k: int
+        self, request: SearchRequest
     ) -> list[AugmentationCandidate]:
+        top_k = self.discovery_top_k
         if self.metrics is not None:
             self.metrics.increment("platform.discoveries")
         with span("discovery.join") as join_span:
@@ -340,16 +337,12 @@ class Mileena:
         return candidates
 
     def search(
-        self,
-        request: SearchRequest,
-        train_final_model: bool = True,
-        discovery_top_k: int | None = None,
+        self, request: SearchRequest, train_final_model: bool = True
     ) -> SearchResult:
         """Solve Problem 1 for one request.
 
-        ``discovery_top_k`` narrows the candidate fan-out for this call
-        only — the gateway's degraded mode serves a cheaper search this
-        way when the full-fidelity path is unavailable.
+        ``train_final_model=False`` stops after the proxy score and leaves
+        ``final_report`` empty.
         """
         timer = BudgetTimer(self.clock, request.time_budget_seconds)
         requester = Requester("requester", builder=self.builder)
@@ -358,7 +351,7 @@ class Mileena:
         state = AugmentationState.from_sketches(
             request.target, sketches.train, sketches.test
         )
-        candidates = self.discover_candidates(request, top_k=discovery_top_k)
+        candidates = self.discover_candidates(request)
         search = GreedySketchSearch(
             store=self.corpus.sketches, proxy=self.proxy, clock=self.clock
         )

@@ -80,15 +80,15 @@ class RequestTimeout(GatewayError):
 
     Distinct from :class:`AdmissionError` (refused before any work) —
     this is raised mid-pipeline when the ``BudgetTimer`` runs out between
-    retry attempts or while waiting on a hedged dispatch.
+    retry attempts.
     """
 
 
 class DegradedResult(GatewayError):
-    """A request failed *and* its degraded fallback could not serve it.
+    """A request's dispatch failed *and* no last-known-good result was cached.
 
-    Chains the original dispatch error; raised so the caller sees one
-    typed failure naming both the primary and the fallback path.
+    Chains the original dispatch error; the caller sees one typed failure
+    naming both the primary path and the missed fallback.
     """
 
 

@@ -112,7 +112,7 @@ class SloStatus:
 
 
 def default_slos() -> tuple[SloSpec, ...]:
-    """The stock gateway objectives (override via ``GatewayConfig.slo_specs``)."""
+    """The gateway's objectives (pass ``SloEngine(specs=...)`` to evaluate others)."""
     return (
         SloSpec(
             name="error_ratio",

@@ -31,7 +31,6 @@ the contract.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
@@ -48,6 +47,10 @@ from repro.serving.gateway import ComputeOutcome, GatewayConfig, GatewayResponse
 
 THREAD = "thread"
 PROCESS = "process"
+
+#: How many times the process backend re-sends an envelope to a freshly
+#: respawned pool after a worker death before computing in the parent.
+REDISPATCH_ATTEMPTS = 2
 
 
 @runtime_checkable
@@ -157,7 +160,6 @@ class PlatformSpec:
     automl_splits: int
     base_epoch: int
     registrations: tuple = ()
-    warm_start: bool = True
     # Non-default platform components (proxy model, sketch builder, shared
     # MinHasher) must replicate too, or a customised platform would return
     # different results from worker processes than from the parent.  The
@@ -216,10 +218,9 @@ class PlatformReplica:
             self._install_snapshot(spec.snapshot[0])
         else:
             self._install(self._build_platform(spec), spec.base_epoch)
-        if spec.warm_start:
-            registrations = self.platform.corpus.registrations
-            if registrations:
-                self._warm_up(next(iter(registrations.values())).relation)
+        registrations = self.platform.corpus.registrations
+        if registrations:
+            self._warm_up(next(iter(registrations.values())).relation)
 
     def _build_platform(self, spec: PlatformSpec):
         from repro.core.catalog import Corpus
@@ -416,7 +417,6 @@ def platform_spec(gateway) -> PlatformSpec:
         automl_splits=gateway.service.automl_splits,
         base_epoch=base_epoch,
         registrations=tuple(registrations.values()),
-        warm_start=gateway.config.warm_start,
         proxy=proxy,
         builder=platform.builder,
         minhasher=getattr(discovery, "minhasher", None),
@@ -469,13 +469,12 @@ class ProcessPoolBackend:
         # inverted.
         self._pending_snapshot: tuple | None = None
         self._log_lock = threading.Lock()
-        # Supervision state: the bootstrap spec and mp context are kept so
-        # a broken pool (dead worker) can be respawned; the generation
-        # counter makes restarts idempotent across racing orchestrator
-        # threads (only the thread that saw the still-current generation
-        # rebuilds — the rest just redispatch onto the fresh pool).
+        # Supervision state: the bootstrap spec is kept so a broken pool
+        # (dead worker) can be respawned; the generation counter makes
+        # restarts idempotent across racing orchestrator threads (only the
+        # thread that saw the still-current generation rebuilds — the rest
+        # just redispatch onto the fresh pool).
         self._spec: PlatformSpec | None = None
-        self._mp_context = None
         self._pool_generation = 0
         self._restart_lock = threading.Lock()
 
@@ -503,15 +502,8 @@ class ProcessPoolBackend:
             manager.add_listener(self._on_snapshot)
         with self._log_lock:
             self._floor = spec.base_epoch
-        workers = self.config.process_workers or self.config.max_workers
-        self._workers = workers
-        context = (
-            multiprocessing.get_context(self.config.process_start_method)
-            if self.config.process_start_method
-            else None
-        )
+        self._workers = self.config.process_workers or self.config.max_workers
         self._spec = spec
-        self._mp_context = context
         # The process pool is created (and warmed) before any orchestration
         # thread exists, so fork-started workers never inherit a mid-request
         # parent thread.
@@ -537,23 +529,21 @@ class ProcessPoolBackend:
 
     # -- supervision -------------------------------------------------------------
     def _spawn_pool(self, spec: PlatformSpec) -> ProcessPoolExecutor:
-        """Build (and optionally warm) a replica pool from ``spec``."""
+        """Build and warm a replica pool from ``spec``."""
         workers = self._workers
         pool = ProcessPoolExecutor(
             max_workers=workers,
-            mp_context=self._mp_context,
             initializer=_bootstrap_replica,
             initargs=(spec,),
         )
-        if self.config.warm_start:
-            pids = list(pool.map(_replica_ready, range(workers)))
-            if not all(pids):
-                pool.shutdown(wait=False)
-                raise BackendError("process backend failed to bootstrap its replicas")
-            with self._log_lock:
-                for pid in pids:
-                    # Every worker bootstrapped at (at least) the base state.
-                    self._acked.setdefault(pid, spec.base_epoch)
+        pids = list(pool.map(_replica_ready, range(workers)))
+        if not all(pids):
+            pool.shutdown(wait=False)
+            raise BackendError("process backend failed to bootstrap its replicas")
+        with self._log_lock:
+            for pid in pids:
+                # Every worker bootstrapped at (at least) the base state.
+                self._acked.setdefault(pid, spec.base_epoch)
         return pool
 
     def _ensure_pool(self, generation: int) -> None:
@@ -673,15 +663,14 @@ class ProcessPoolBackend:
         A worker death (SIGKILL, ``os._exit``, OOM) surfaces as
         :class:`BrokenProcessPool`; the in-flight envelope is not lost —
         the pool is respawned (see :meth:`_ensure_pool`) and the envelope
-        re-dispatched up to ``GatewayConfig.redispatch_attempts`` times.
+        re-dispatched up to ``REDISPATCH_ATTEMPTS`` times.
         Computes are deterministic and side-effect free in the worker, so
         re-dispatch is always safe.  With redispatch exhausted (or the
         respawn itself failing) the parent computes locally — same answer,
         GIL-bound speed — rather than failing the request.
         """
         gateway = self._gateway
-        attempts = max(0, gateway.config.redispatch_attempts)
-        for attempt in range(attempts + 1):
+        for attempt in range(REDISPATCH_ATTEMPTS + 1):
             generation = self._pool_generation
             try:
                 return self._dispatch_once(request, remaining)
@@ -690,7 +679,7 @@ class ProcessPoolBackend:
                     self._ensure_pool(generation)
                 except Exception:  # noqa: BLE001 - respawn failed; fall back
                     break
-                if attempt < attempts:
+                if attempt < REDISPATCH_ATTEMPTS:
                     gateway.metrics.increment("faults.redispatches")
         gateway.metrics.increment("faults.local_fallbacks")
         return gateway._compute_local(request, remaining)

@@ -76,9 +76,6 @@ class GatewayConfig:
     max_pending:
         Admission-control bound on submitted-but-unfinished requests;
         submissions beyond it raise :class:`AdmissionError`.
-    default_time_budget_seconds:
-        Deadline applied to requests submitted without an explicit budget
-        (``None`` = no deadline).
     cache_capacity:
         LRU capacity of the result cache.
     cache_results:
@@ -96,15 +93,9 @@ class GatewayConfig:
         finally to ``"thread"``.
     process_workers:
         Worker *processes* for the ``process`` backend (defaults to
-        ``max_workers``).
-    process_start_method:
-        ``multiprocessing`` start method for the process backend (``None``
-        = platform default, i.e. ``fork`` on Linux; ``"spawn"`` is slower
-        to boot but exercises the full pickling path).
-    warm_start:
-        Bootstrap and warm every process-pool worker at gateway
-        construction (platform replica build + first-query engine
-        structures) instead of on first request.
+        ``max_workers``).  Workers use the platform's default
+        ``multiprocessing`` start method and are bootstrapped and warmed
+        at gateway construction.
     snapshot_dir:
         Durable-state directory (``None`` = no persistence).  When set,
         the gateway attaches a :class:`~repro.persist.SnapshotManager` to
@@ -115,10 +106,11 @@ class GatewayConfig:
         envelope-carried WAL tail) and re-bases its mutation log on every
         new snapshot, which is what keeps envelope logs bounded under
         sustained churn.
-    snapshot_every_mutations / snapshot_every_seconds:
-        The re-snapshot cadence (see :class:`~repro.persist.SnapshotManager`).
-        ``every_mutations`` also bounds the WAL and the process backend's
-        per-envelope mutation logs.
+    snapshot_every_mutations:
+        The re-snapshot cadence (see :class:`~repro.persist.SnapshotManager`);
+        it also bounds the WAL and the process backend's per-envelope
+        mutation logs.  A time-based cadence is set on the platform with
+        ``attach_snapshots(every_seconds=...)``.
     wal_fsync:
         Fsync every WAL append and snapshot write (power-cut durability)
         instead of flush-only (process-crash durability, the default).
@@ -131,70 +123,37 @@ class GatewayConfig:
     slow_trace_seconds:
         The always-on slow-request log threshold: any request whose root
         span runs at least this long is retained regardless of the
-        sampling verdict.
-    trace_buffer_capacity:
-        How many retained traces the in-memory ring buffer holds (oldest
-        evicted first); ``Gateway.ops_report()`` renders the slowest of
-        them and ``gateway.tracer.buffer.export_jsonl(path)`` dumps the
-        window for offline analysis.  See ``docs/OBSERVABILITY.md``.
+        sampling verdict.  The ring buffer keeps the 256 most recent
+        retained traces; ``Gateway.ops_report()`` renders the slowest of
+        them.  See ``docs/OBSERVABILITY.md``.
     ops_port:
         Opt-in HTTP ops surface: when set, the gateway starts a threaded
         stdlib :class:`~repro.obs.server.OpsServer` on
         ``(ops_host, ops_port)`` serving ``/metrics`` (OpenMetrics
-        exposition), ``/health`` (SLO/breaker readiness, 200/503),
-        ``/ops``, ``/slo``, and ``/traces[/<id>]``; ``0`` binds an
-        ephemeral port (read it from ``gateway.ops_server.port``).  The
-        server stops with the gateway.  ``None`` (default) starts
-        nothing.  See ``docs/OBSERVABILITY.md``.
+        exposition with per-bucket trace exemplars), ``/health``
+        (readiness against :func:`~repro.obs.slo.default_slos` and the
+        breaker, 200/503), ``/ops``, ``/slo``, and ``/traces[/<id>]``;
+        ``0`` binds an ephemeral port (read it from
+        ``gateway.ops_server.port``).  The server stops with the gateway.
+        ``None`` (default) starts nothing.  See ``docs/OBSERVABILITY.md``.
     ops_host:
         Bind address for the ops server (default loopback; widen
         deliberately — the surface is unauthenticated).
-    ops_exemplars:
-        Arm per-bucket trace exemplars on every histogram when the ops
-        server is enabled, so ``/metrics`` bucket series link to retained
-        traces in ``/traces/<id>``.  Disarmed histograms pay one
-        attribute check per observation.
-    slo_specs:
-        The SLO objectives the ops server evaluates
-        (:class:`~repro.obs.slo.SloSpec` tuple); ``None`` uses
-        :func:`~repro.obs.slo.default_slos` (error ratio, degraded
-        ratio, p95 service latency).
-    metrics_history_capacity:
-        Bound on the ops server's pull-driven metric snapshot ring (one
-        snapshot per scrape/tick; windowed burn rates read from it).
-    retry_max_attempts:
+    retry_max_attempts / retry_backoff_seconds / retry_jitter_seed:
         Total dispatch attempts (first try included) for *transient*
         failures (:class:`~repro.exceptions.TransientError` subclasses);
         deterministic errors never retry.  Retries back off exponentially
-        from ``retry_backoff_seconds`` with ``retry_jitter`` spread
+        from ``retry_backoff_seconds`` with ±50 % jitter
         (``retry_jitter_seed`` pins the jitter for deterministic tests)
         and never sleep past the request's budget.
-    hedge_after_seconds:
-        When set, a dispatch still outstanding after this long races a
-        second identical compute and the first result wins — a tail-
-        latency bound against one pathologically slow worker or shard.
-        ``None`` (default) disables hedging.
     breaker_failure_threshold / breaker_recovery_seconds:
         The per-backend circuit breaker: this many consecutive dispatch
         failures open it, converting further requests into fast typed
         :class:`~repro.exceptions.BackendUnavailable` rejections until a
-        half-open probe succeeds after the recovery window.
-    degraded_fallback:
-        Serve degraded responses (marked ``degraded=True``) instead of
-        failing when the primary path is unavailable: last-known-good
-        results from a fingerprint-keyed cache, or — for an open breaker
-        in search mode — a reduced-fidelity local recompute at
-        ``degraded_top_k`` discovery fan-out with no final-model
-        training.  See ``docs/RELIABILITY.md``.
-    degrade_pressure_seconds:
-        Deadline-pressure threshold: a budgeted request arriving with
-        less than this much budget left is served straight from the
-        last-known-good cache when possible (``None`` disables the
-        pressure check).
-    redispatch_attempts:
-        Process backend: how many times a broken-pool dispatch is re-sent
-        to freshly respawned replicas before falling back to a
-        parent-local compute.
+        half-open probe succeeds after the recovery window.  With the
+        breaker open (or the deadline lapsed) a request is answered from
+        the last-known-good cache, flagged ``degraded=True``, or fails
+        with a typed error.  See ``docs/RELIABILITY.md``.
 
     Discovery-side knobs (``use_lsh``, ``lsh_bands``, ``target_recall``,
     ``multi_probe``, the index-level ``cache_capacity``) live on the
@@ -207,38 +166,24 @@ class GatewayConfig:
 
     max_workers: int = 4
     max_pending: int = 64
-    default_time_budget_seconds: float | None = None
     cache_capacity: int = 256
     cache_results: bool = True
     cache_proxy_scores: bool = True
     run_automl: bool = False
     backend: str | None = None
     process_workers: int | None = None
-    process_start_method: str | None = None
-    warm_start: bool = True
     snapshot_dir: str | None = None
     snapshot_every_mutations: int | None = 64
-    snapshot_every_seconds: float | None = None
     wal_fsync: bool = False
     trace_sample_rate: float = 0.1
     slow_trace_seconds: float = 1.0
-    trace_buffer_capacity: int = 256
     ops_port: int | None = None
     ops_host: str = "127.0.0.1"
-    ops_exemplars: bool = True
-    slo_specs: tuple | None = None
-    metrics_history_capacity: int = 512
     retry_max_attempts: int = 2
     retry_backoff_seconds: float = 0.05
-    retry_jitter: float = 0.5
     retry_jitter_seed: int | None = None
-    hedge_after_seconds: float | None = None
     breaker_failure_threshold: int = 8
     breaker_recovery_seconds: float = 5.0
-    degraded_fallback: bool = True
-    degraded_top_k: int = 8
-    degrade_pressure_seconds: float | None = None
-    redispatch_attempts: int = 2
 
 
 @dataclass
@@ -272,11 +217,10 @@ class ComputeOutcome:
 class GatewayResponse:
     """Outcome of one gateway request.
 
-    ``degraded=True`` marks a response served by a fallback path (the
-    last-known-good cache or a reduced-fidelity recompute) because the
-    primary dispatch was unavailable — the result may be stale or
-    truncated relative to a full-fidelity answer, and callers that cannot
-    tolerate that should treat it as a failure.
+    ``degraded=True`` marks a response served from the last-known-good
+    cache because the primary dispatch was unavailable — the result may be
+    stale relative to the current corpus, and callers that cannot tolerate
+    that should treat it as a failure.
     """
 
     request_id: int
@@ -312,7 +256,7 @@ class Gateway:
         self.tracer = tracer if tracer is not None else Tracer(
             sample_rate=self.config.trace_sample_rate,
             slow_threshold_seconds=self.config.slow_trace_seconds,
-            buffer=TraceBuffer(self.config.trace_buffer_capacity),
+            buffer=TraceBuffer(),
             metrics=self.metrics,
         )
         self.clock = clock if clock is not None else getattr(platform, "clock", WallClock())
@@ -351,7 +295,6 @@ class Gateway:
             self.snapshots = platform.attach_snapshots(
                 self.config.snapshot_dir,
                 every_mutations=self.config.snapshot_every_mutations,
-                every_seconds=self.config.snapshot_every_seconds,
                 clock=self.clock,
                 fsync=self.config.wal_fsync,
                 metrics=self.metrics,
@@ -376,14 +319,13 @@ class Gateway:
         if choice is None:
             choice = "thread"
         self.backend = resolve_backend(choice, self.config)
-        # Resilience wrapper around the dispatch stage: retry policy,
-        # per-backend circuit breaker, optional hedging (see
-        # repro.serving.resilience and docs/RELIABILITY.md).
+        # Resilience wrapper around the dispatch stage: retry policy and
+        # per-backend circuit breaker (see repro.serving.resilience and
+        # docs/RELIABILITY.md).
         self.resilience = ResilientDispatch(
             policy=RetryPolicy(
                 max_attempts=self.config.retry_max_attempts,
                 backoff_seconds=self.config.retry_backoff_seconds,
-                jitter=self.config.retry_jitter,
                 seed=self.config.retry_jitter_seed,
             ),
             breaker=CircuitBreaker(
@@ -393,20 +335,16 @@ class Gateway:
                 recovery_seconds=self.config.breaker_recovery_seconds,
                 metrics=self.metrics,
             ),
-            hedge_after_seconds=self.config.hedge_after_seconds,
-            hedge_workers=max(2, self.config.max_workers),
             metrics=self.metrics,
         )
         # Last-known-good results for graceful degradation: keyed on
         # (mode, request fingerprint) with *no* epoch scoping — a
         # degraded response is allowed to be stale, that is its contract.
-        self._lkg: ResultCache | None = None
-        if self.config.degraded_fallback:
-            self._lkg = ResultCache(
-                capacity=self.config.cache_capacity,
-                metrics=self.metrics,
-                name="lkg_cache",
-            )
+        self._lkg = ResultCache(
+            capacity=self.config.cache_capacity,
+            metrics=self.metrics,
+            name="lkg_cache",
+        )
         self.backend.start(self)
         # Opt-in HTTP ops surface: OpenMetrics exposition, SLO burn-rate
         # evaluation, health probes, and trace lookup over stdlib HTTP
@@ -417,19 +355,14 @@ class Gateway:
             from repro.obs.server import OpsServer
             from repro.obs.slo import SloEngine
 
-            if self.config.ops_exemplars:
-                self.metrics.arm_exemplars()
-            history = MetricsHistory(
-                self.metrics, capacity=self.config.metrics_history_capacity
-            )
+            self.metrics.arm_exemplars()
+            history = MetricsHistory(self.metrics)
             self.ops_server = OpsServer(
                 self,
                 host=self.config.ops_host,
                 port=self.config.ops_port,
                 history=history,
-                slo=SloEngine(
-                    history, specs=self.config.slo_specs, metrics=self.metrics
-                ),
+                slo=SloEngine(history, metrics=self.metrics),
             )
             self.ops_server.start()
 
@@ -447,11 +380,6 @@ class Gateway:
         Raises :class:`AdmissionError` when ``max_pending`` requests are
         already in flight.
         """
-        budget = (
-            time_budget_seconds
-            if time_budget_seconds is not None
-            else self.config.default_time_budget_seconds
-        )
         with self._lock:
             if self._pending >= self.config.max_pending:
                 raise self._reject()
@@ -460,7 +388,7 @@ class Gateway:
             request_id = self._next_request_id
             self._next_request_id += 1
         # The deadline starts at admission: queue wait consumes the budget.
-        timer = BudgetTimer(self.clock, budget)
+        timer = BudgetTimer(self.clock, time_budget_seconds)
         return self.backend.submit(request_id, request, timer)
 
     def _reject(self) -> AdmissionError:
@@ -512,7 +440,6 @@ class Gateway:
     def shutdown(self, wait: bool = True) -> None:
         if self.ops_server is not None:
             self.ops_server.stop()
-        self.resilience.shutdown()
         self.backend.shutdown(wait=wait)
 
     def __enter__(self) -> "Gateway":
@@ -562,7 +489,7 @@ class Gateway:
             )
         return waited, None
 
-    def _cache_key(self, timer: BudgetTimer, request: SearchRequest):
+    def _cache_key(self, timer: BudgetTimer, fingerprint):
         """The (mode, fingerprint, budget, epoch) cache key, or None when uncached.
 
         The submitted budget is part of the key: a result computed under a
@@ -574,7 +501,7 @@ class Gateway:
             return None
         return (
             self.mode,
-            request_fingerprint(request),
+            fingerprint,
             timer.budget_seconds,
             self.platform.corpus.epoch,
         )
@@ -660,6 +587,7 @@ class Gateway:
     def _complete(
         self,
         request_id: int,
+        fingerprint,
         key,
         timer: BudgetTimer,
         waited: float,
@@ -671,10 +599,11 @@ class Gateway:
         """Shared post-compute tail: record, cache (stamp-checked), hand off."""
         self.metrics.observe("gateway.service_seconds", service_seconds)
         self._store(key, timer, outcome)
-        if self._lkg is not None and key is not None and not timer.expired():
-            # Last-known-good is keyed without budget or epoch: a degraded
-            # response may serve a stale result, but never a truncated one.
-            self._lkg.put((key[0], key[1]), outcome.result)
+        if not timer.expired():
+            # Last-known-good is keyed without budget or epoch, and kept
+            # whether or not the result cache is on: a degraded response
+            # may serve a stale result, but never a truncated one.
+            self._lkg.put((self.mode, fingerprint), outcome.result)
         if leading:
             self._flights.finish(key, flight, outcome.result)
         self.metrics.increment("gateway.ok")
@@ -761,7 +690,8 @@ class Gateway:
             if early is not None:
                 admission.annotate(outcome="expired")
                 return early
-        key = self._cache_key(timer, request)
+        fingerprint = request_fingerprint(request)
+        key = self._cache_key(timer, fingerprint)
         flight = None
         leading = False
         if key is not None:
@@ -770,19 +700,11 @@ class Gateway:
                 if hit is not None:
                     lookup.annotate(outcome="hit")
                     return hit
-                early = self._degrade_early(request_id, request, timer, waited)
-                if early is not None:
-                    lookup.annotate(outcome="degraded")
-                    return early
                 flight, leading = self._flights.begin(key)
                 if not leading:
                     lookup.annotate(outcome="coalesced")
                     return self._join_flight(key, flight, request_id, timer, waited)
                 lookup.annotate(outcome="miss")
-        else:
-            early = self._degrade_early(request_id, request, timer, waited)
-            if early is not None:
-                return early
         remaining = timer.remaining() if timer.budget_seconds is not None else None
         started = self.clock.now()
         try:
@@ -791,13 +713,14 @@ class Gateway:
                 dispatch.annotate(epoch=outcome.epoch, stale=outcome.stale)
         except (RequestTimeout, BackendUnavailable) as error:
             return self._dispatch_failed(
-                request_id, key, request, timer, waited, flight, leading, error
+                request_id, fingerprint, key, waited, flight, leading, error
             )
         except BaseException as error:
             self._abort_flight(key, flight, leading, error)
             raise
         return self._complete(
             request_id,
+            fingerprint,
             key,
             timer,
             waited,
@@ -808,34 +731,11 @@ class Gateway:
         )
 
     # -- graceful degradation ---------------------------------------------------
-    def _degrade_early(
-        self, request_id: int, request: SearchRequest, timer: BudgetTimer, waited: float
-    ) -> GatewayResponse | None:
-        """Serve last-known-good up front when the deadline is already tight.
-
-        Only fires when ``degrade_pressure_seconds`` is configured, the
-        request carries a budget, and less than that threshold remains —
-        i.e. a full compute would almost certainly blow the deadline, so a
-        stale-but-instant answer beats a late rejection.
-        """
-        threshold = self.config.degrade_pressure_seconds
-        if threshold is None or self._lkg is None:
-            return None
-        if timer.budget_seconds is None or timer.remaining() > threshold:
-            return None
-        return self._lkg_response(request_id, request, waited, reason="pressure")
-
     def _lkg_response(
-        self,
-        request_id: int,
-        request: SearchRequest,
-        waited: float,
-        reason: str,
+        self, request_id: int, fingerprint, waited: float, reason: str
     ) -> GatewayResponse | None:
         """A degraded response from the last-known-good cache, or None."""
-        if self._lkg is None:
-            return None
-        cached = self._lkg.get((self.mode, request_fingerprint(request)), _MISS)
+        cached = self._lkg.get((self.mode, fingerprint), _MISS)
         if cached is _MISS:
             return None
         with span("request.degraded", reason=reason, source="lkg_cache"):
@@ -850,74 +750,29 @@ class Gateway:
             waited_seconds=waited,
         )
 
-    def _degraded_compute(
-        self,
-        request_id: int,
-        request: SearchRequest,
-        timer: BudgetTimer,
-        waited: float,
-        reason: str,
-    ) -> GatewayResponse | None:
-        """A reduced-recall in-process search as a degraded fallback.
-
-        Probes far fewer discovery candidates (``degraded_top_k``) and
-        skips final-model training, trading recall for a fast answer in
-        this process while the backend is unavailable.  Any failure here
-        returns None — the caller falls through to a typed failure.
-        """
-        if self._lkg is None or self.config.run_automl:
-            return None
-        remaining = timer.remaining() if timer.budget_seconds is not None else None
-        scoped = replace(request, time_budget_seconds=remaining)
-        try:
-            with span("request.degraded", reason=reason, source="reduced_search"):
-                result = self.platform.search(
-                    scoped,
-                    train_final_model=False,
-                    discovery_top_k=self.config.degraded_top_k,
-                )
-        except Exception:  # noqa: BLE001 - degraded path must never raise
-            return None
-        self.metrics.increment("gateway.degraded")
-        self.metrics.increment("gateway.ok")
-        return GatewayResponse(
-            request_id,
-            OK,
-            result=result,
-            degraded=True,
-            waited_seconds=waited,
-        )
-
     def _dispatch_failed(
         self,
         request_id: int,
+        fingerprint,
         key,
-        request: SearchRequest,
-        timer: BudgetTimer,
         waited: float,
         flight: Future | None,
         leading: bool,
         error: Exception,
     ) -> GatewayResponse:
-        """Typed dispatch failure: try the degraded ladder, then fail fast.
+        """Typed dispatch failure: last-known-good, else a typed failure.
 
-        Followers coalesced behind this flight get the original error (a
-        degraded response is private to the request that produced it — it
-        was never epoch-stamped, so it must not feed the flight table or
-        the result cache).
+        No second computation is attempted.  Followers coalesced behind
+        this flight get the original error (a degraded response is private
+        to the request that produced it — it was never epoch-stamped, so it
+        must not feed the flight table or the result cache).
         """
         self._abort_flight(key, flight, leading, error)
         timed_out = isinstance(error, RequestTimeout)
         reason = "timeout" if timed_out else "backend_unavailable"
-        fallback = self._lkg_response(request_id, request, waited, reason=reason)
+        fallback = self._lkg_response(request_id, fingerprint, waited, reason=reason)
         if fallback is not None:
             return fallback
-        if not timed_out:
-            fallback = self._degraded_compute(
-                request_id, request, timer, waited, reason
-            )
-            if fallback is not None:
-                return fallback
         if timed_out:
             self.metrics.increment("gateway.expired")
             return GatewayResponse(
@@ -927,7 +782,7 @@ class Gateway:
                 waited_seconds=waited,
             )
         failure = DegradedResult(
-            f"backend dispatch failed and no degraded fallback was available: {error}"
+            f"backend dispatch failed and no last-known-good result was cached: {error}"
         )
         failure.__cause__ = error
         return self._failed(request_id, failure)

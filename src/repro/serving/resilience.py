@@ -1,4 +1,4 @@
-"""Retry, circuit-breaking, and hedged dispatch for the serving gateway.
+"""Retry and circuit-breaking for the serving gateway.
 
 The gateway's dispatch stage hands a request to an execution backend and
 waits.  This module is the policy wrapper around that hand-off:
@@ -16,27 +16,19 @@ waits.  This module is the policy wrapper around that hand-off:
   :class:`~repro.exceptions.BackendUnavailable` (no queue pile-up behind
   a dead backend); after ``recovery_seconds`` a limited number of
   half-open probes are let through, and one success closes it again.
-* **Hedged dispatch** — when ``hedge_after_seconds`` is set and the
-  primary compute has not returned by then, a second identical compute is
-  raced against it and the first result wins.  This bounds the tail
-  latency of one pathologically slow worker/shard; computes are
-  deterministic and idempotent here, so the loser's result is simply
-  discarded.
 
-:class:`ResilientDispatch` composes the three; the gateway builds one at
+:class:`ResilientDispatch` composes the two; the gateway builds one at
 construction from its :class:`~repro.serving.gateway.GatewayConfig` knobs
 and routes every backend compute through :meth:`ResilientDispatch.run`.
-With retries exhausted the last error propagates — graceful degradation
-(last-known-good cache, reduced-fidelity recompute) is the *gateway's*
-next move, see ``Gateway._dispatch_failed``.
+Each attempt is exactly one compute.  With retries exhausted the last
+error propagates — the last-known-good cache is the *gateway's* next
+move, see ``Gateway._dispatch_failed``.
 """
 
 from __future__ import annotations
 
-import contextvars
 import random
 import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
 from repro.core.clock import BudgetTimer
 from repro.exceptions import BackendUnavailable, RequestTimeout, TransientError
@@ -185,50 +177,23 @@ class CircuitBreaker:
 
 
 class ResilientDispatch:
-    """Retry + breaker + hedging around one backend's compute callable.
+    """Retry + breaker around one backend's compute callable.
 
     ``run`` mirrors the compute signature the gateway's backends expose:
     ``compute(request, remaining_seconds) -> ComputeOutcome``.  The
     breaker is consulted once per request (not per retry attempt — a
     request already past the gate may finish its retries), successes and
     failures feed it, and transient failures are retried within the
-    request's budget.  Hedging, when enabled, wraps each individual
-    attempt.
+    request's budget.
     """
 
     def __init__(
-        self,
-        policy: RetryPolicy,
-        breaker: CircuitBreaker,
-        hedge_after_seconds: float | None = None,
-        hedge_workers: int = 8,
-        metrics=None,
+        self, policy: RetryPolicy, breaker: CircuitBreaker, metrics=None
     ) -> None:
         self.policy = policy
         self.breaker = breaker
-        self.hedge_after_seconds = hedge_after_seconds
-        self.hedge_workers = hedge_workers
         self.metrics = metrics
-        self._hedge_pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
 
-    # -- lifecycle ---------------------------------------------------------------
-    def shutdown(self) -> None:
-        with self._pool_lock:
-            pool, self._hedge_pool = self._hedge_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._hedge_pool is None:
-                self._hedge_pool = ThreadPoolExecutor(
-                    max_workers=self.hedge_workers,
-                    thread_name_prefix="gateway-hedge",
-                )
-            return self._hedge_pool
-
-    # -- dispatch ----------------------------------------------------------------
     def run(self, compute, request, remaining, timer: BudgetTimer):
         """One resilient dispatch; returns the backend's ComputeOutcome.
 
@@ -249,7 +214,7 @@ class ResilientDispatch:
                     f"budget exhausted before dispatch attempt {attempt}"
                 )
             try:
-                outcome = self._attempt(compute, request, remaining, timer)
+                outcome = compute(request, remaining)
             except BaseException as error:
                 self.breaker.record_failure()
                 if (
@@ -272,54 +237,3 @@ class ResilientDispatch:
                 continue
             self.breaker.record_success()
             return outcome
-
-    def _attempt(self, compute, request, remaining, timer: BudgetTimer):
-        """One attempt, hedged when configured."""
-        hedge_after = self.hedge_after_seconds
-        if hedge_after is None:
-            return compute(request, remaining)
-        pool = self._pool()
-        # Span parenting survives the thread switch: each submission runs
-        # under a copy of the dispatching thread's context.
-        primary = pool.submit(
-            contextvars.copy_context().run, compute, request, remaining
-        )
-        done, _ = wait({primary}, timeout=hedge_after)
-        if done:
-            return primary.result()
-        if self.metrics is not None:
-            self.metrics.increment("gateway.hedges")
-        secondary = pool.submit(
-            contextvars.copy_context().run, compute, request, remaining
-        )
-        futures = {primary, secondary}
-        budgeted = timer.budget_seconds is not None
-        last_error: BaseException | None = None
-        while futures:
-            done, futures = wait(
-                futures,
-                timeout=timer.remaining() if budgeted else None,
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                self._discard(futures)
-                raise RequestTimeout(
-                    "budget exhausted waiting on a hedged dispatch"
-                ) from last_error
-            for future in done:
-                try:
-                    outcome = future.result()
-                except BaseException as error:  # noqa: BLE001 - re-raised below
-                    last_error = error
-                    continue
-                if future is secondary and self.metrics is not None:
-                    self.metrics.increment("gateway.hedge_wins")
-                self._discard(futures)
-                return outcome
-        raise last_error
-
-    @staticmethod
-    def _discard(futures) -> None:
-        """Detach losing hedge futures (consume their eventual exception)."""
-        for future in futures:
-            future.add_done_callback(lambda f: f.exception())

@@ -5,9 +5,13 @@ asserts the gateway recovers with a *bit-identical* answer — plus the
 telemetry (counters, spans) an operator would use to see the recovery.
 """
 
+from dataclasses import replace
+
 from chaos_helpers import INITIAL, fresh_platform, result_identity
 
+from repro.core import Mileena
 from repro.faults import FaultPlan, armed
+from repro.privacy.fpm import FactorizedPrivacyMechanism
 from repro.serving import Gateway, GatewayConfig
 
 
@@ -51,22 +55,6 @@ def test_worker_killed_mid_request_recovers_bit_identical(
         if record.parent_id is not None and record.parent_id not in ids
     ]
     assert orphans == [], orphans
-
-
-def test_slow_compute_is_hedged_and_result_identical(corpus, request_for, chaos_seed):
-    """One pathologically slow compute: the hedge fires after
-    ``hedge_after_seconds`` and the fast secondary's answer wins."""
-    expected = result_identity(fresh_platform(corpus).search(request_for))
-    platform = fresh_platform(corpus)
-    config = GatewayConfig(max_workers=2, hedge_after_seconds=0.05)
-    plan = FaultPlan(seed=chaos_seed).delay("gateway.compute", 2.0, on_hit=1)
-    with Gateway(platform, config) as gateway:
-        with armed(plan):
-            response = gateway.run_many([request_for])[0]
-    assert response.ok, response.error
-    assert result_identity(response.result) == expected
-    assert gateway.metrics.counter_value("gateway.hedges") >= 1
-    assert gateway.metrics.counter_value("gateway.hedge_wins") >= 1
 
 
 def test_transient_compute_fault_is_retried(corpus, request_for, chaos_seed):
@@ -123,31 +111,68 @@ def test_open_breaker_serves_last_known_good_degraded(
     assert degraded, [sorted(names_of(t)) for t in traces]
 
 
-def test_open_breaker_falls_back_to_reduced_recall_search(
-    corpus, request_for, chaos_seed
-):
-    """With nothing in last-known-good, an open breaker degrades to a
-    cheap in-process reduced-recall search instead of failing."""
+def test_lkg_is_kept_without_a_result_cache(corpus, request_for, chaos_seed):
+    """Last-known-good does not depend on the result cache: with
+    ``cache_results=False`` a primed success still answers, degraded,
+    once the breaker opens."""
     platform = fresh_platform(corpus)
     config = GatewayConfig(
         max_workers=1,
         retry_max_attempts=1,
         breaker_failure_threshold=1,
-        degraded_top_k=4,
+        cache_results=False,
     )
     plan = FaultPlan(seed=chaos_seed).raise_("gateway.compute", on_hit=None)
     with Gateway(platform, config) as gateway:
+        primed = gateway.run_many([request_for])[0]
+        assert primed.ok, primed.error
         with armed(plan):
             first = gateway.run_many([request_for])[0]
             second = gateway.run_many([request_for])[0]
     assert first.status == "failed"
     assert second.ok and second.degraded, second.error
-    # Reduced recall, not wrong: the plan comes from the same platform,
-    # just over far fewer discovery candidates and with no final model.
-    reference = fresh_platform(corpus).search(
-        request_for, train_final_model=False, discovery_top_k=4
+    assert second.cache_hit
+    assert result_identity(second.result) == result_identity(primed.result)
+    assert gateway.metrics.counter_value("gateway.degraded") == 1
+
+
+def test_open_breaker_without_lkg_fails_fast_with_no_compute(
+    corpus, request_for, chaos_seed, monkeypatch
+):
+    """An open breaker with nothing in last-known-good is a fast typed
+    failure: no search runs and, for a private request, no requester-side
+    noise is drawn a second time."""
+    calls = {"search": 0, "privatize": 0}
+
+    def spy(owner, name, counter):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[counter] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(Mileena, "search", "search")
+    spy(FactorizedPrivacyMechanism, "privatize_element", "privatize")
+    spy(FactorizedPrivacyMechanism, "privatize_keyed", "privatize")
+
+    private = replace(request_for, epsilon=1.0)
+    platform = fresh_platform(corpus)
+    config = GatewayConfig(
+        max_workers=1,
+        retry_max_attempts=1,
+        breaker_failure_threshold=1,
     )
-    assert [
-        (c.kind, c.dataset, c.join_key) for c in second.result.plan.candidates
-    ] == [(c.kind, c.dataset, c.join_key) for c in reference.plan.candidates]
-    assert gateway.metrics.counter_value("gateway.degraded") >= 1
+    plan = FaultPlan(seed=chaos_seed).raise_("gateway.compute", on_hit=None)
+    with Gateway(platform, config) as gateway:
+        with armed(plan):
+            first = gateway.run_many([private])[0]
+            before = dict(calls)
+            second = gateway.run_many([private])[0]
+    assert first.status == "failed"
+    assert second.status == "failed"
+    assert "DegradedResult" in second.error, second.error
+    assert calls == before, (before, calls)
+    assert gateway.metrics.counter_value("gateway.breaker.fast_rejections") >= 1
+    assert gateway.metrics.counter_value("gateway.degraded") == 0
