@@ -27,9 +27,8 @@ def main() -> None:
 
     # 2. Stand up a *sharded* platform: the sketch store and discovery index
     #    are partitioned across 4 shards by dataset-name hash, and return
-    #    results identical to the flat variants.  ``backend=`` records the
-    #    preferred execution backend; the gateway picks it up.
-    platform = Mileena.sharded(num_shards=4, backend=backend)
+    #    results identical to the flat variants.
+    platform = Mileena.sharded(num_shards=4)
     accepted = platform.register_corpus(corpus.providers)
     print(
         f"registered {accepted} datasets across "
@@ -40,7 +39,9 @@ def main() -> None:
     #    With the process backend the platform (relations + prebuilt
     #    sketches) is pickled into every worker once at startup; requests
     #    and results cross the process boundary as picklable envelopes.
-    config = GatewayConfig(max_workers=4, max_pending=32, cache_capacity=128)
+    config = GatewayConfig(
+        max_workers=4, max_pending=32, cache_capacity=128, backend=backend
+    )
     with Gateway(platform, config) as gateway:
         # 4. Sixteen requesters submit concurrently; many share the same task
         #    (popular requester relations repeat on a shared platform), so the

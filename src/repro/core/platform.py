@@ -59,9 +59,6 @@ class Mileena:
     epoch-keyed ``repro.serving.cache.ResultCache`` and a
     ``repro.serving.metrics.MetricsRegistry``); the gateway wires them in,
     and a bare platform works exactly as before without them.
-    ``serving_backend`` is a platform-level default execution backend name
-    (``"thread"``/``"process"``) the gateway honours when its own config
-    does not name one.
     """
 
     corpus: Corpus = field(default_factory=Corpus)
@@ -71,58 +68,24 @@ class Mileena:
     discovery_top_k: int = 50
     cache: object | None = None
     metrics: object | None = None
-    serving_backend: str | None = None
     snapshots: object | None = field(default=None, repr=False)
 
     @classmethod
-    def sharded(
-        cls,
-        num_shards: int = 4,
-        use_lsh: bool = False,
-        target_recall: float | None = None,
-        multi_probe: bool = False,
-        discovery_cache_capacity: int | None = None,
-        backend: str | None = None,
-        snapshot_dir: str | None = None,
-        snapshot_every_mutations: int | None = 64,
-        **kwargs,
-    ) -> "Mileena":
+    def sharded(cls, num_shards: int = 4, **kwargs) -> "Mileena":
         """A platform whose sketch store and discovery index are sharded.
 
-        ``use_lsh`` turns on LSH-banded candidate pruning in every shard
-        (sublinear, approximate); ``target_recall`` makes the banding
-        *adaptive* — the band count is derived so a join pair at the
-        threshold is recalled with at least that probability — and
-        ``multi_probe`` additionally probes near-miss band buckets
-        (see ``docs/TUNING.md``).  ``discovery_cache_capacity`` enables
-        the index-level epoch-scoped discovery cache.  ``backend`` names
-        the execution backend a gateway in front of this platform should
-        use (``"process"`` for true multi-core parallelism — see
-        ``repro.serving.backends``).  ``snapshot_dir`` makes the platform
-        durable: a :class:`~repro.persist.SnapshotManager` journals every
-        registration change to a WAL and re-snapshots every
-        ``snapshot_every_mutations`` mutations, so a restart is
-        ``Mileena.load(snapshot_dir)`` instead of a full rebuild (a
-        time-based cadence is ``attach_snapshots(every_seconds=...)``).
+        ``kwargs`` are :class:`Mileena` fields.  LSH is configured on the
+        index constructor (``ShardedDiscoveryIndex(use_lsh=True, ...)``),
+        the execution backend on ``GatewayConfig.backend``, and durable
+        state with :meth:`attach_snapshots` or ``GatewayConfig.snapshot_dir``.
         """
         from repro.serving.sharded import ShardedDiscoveryIndex, ShardedSketchStore
 
         corpus = Corpus(
-            discovery=ShardedDiscoveryIndex(
-                num_shards=num_shards,
-                use_lsh=use_lsh,
-                target_recall=target_recall,
-                multi_probe=multi_probe,
-                cache_capacity=discovery_cache_capacity,
-            ),
+            discovery=ShardedDiscoveryIndex(num_shards=num_shards),
             sketches=ShardedSketchStore(num_shards=num_shards),
         )
-        platform = cls(corpus=corpus, serving_backend=backend, **kwargs)
-        if snapshot_dir is not None:
-            platform.attach_snapshots(
-                snapshot_dir, every_mutations=snapshot_every_mutations
-            )
-        return platform
+        return cls(corpus=corpus, **kwargs)
 
     # -- durable state ------------------------------------------------------------
     def save(self, path) -> "Path":

@@ -14,7 +14,7 @@ from __future__ import annotations
 #: The cache layers a gateway can expose, in report order.  Reading stats
 #: for a layer that never emitted is free and non-creating
 #: (``MetricsRegistry.cache_stats`` does not materialise counters).
-CACHE_LAYERS = ("gateway_cache", "discovery_cache", "proxy_cache")
+CACHE_LAYERS = ("gateway_cache", "proxy_cache")
 
 
 def gateway_stats(gateway) -> dict:

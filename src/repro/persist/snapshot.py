@@ -164,15 +164,13 @@ ENGINE_KNOBS = {
 def capture_engine_config(discovery) -> dict:
     """The discovery index's full configuration as one plain dict.
 
-    Includes the structural fields (``kind``, ``num_shards``,
-    ``cache_capacity``) plus every knob in :data:`ENGINE_KNOBS`; feed it
-    to :func:`build_corpus_stores` to get an identically configured
-    index/store pair.
+    Includes the structural fields (``kind``, ``num_shards``) plus every
+    knob in :data:`ENGINE_KNOBS`; feed it to :func:`build_corpus_stores`
+    to get an identically configured index/store pair.
     """
     config = {
         "kind": "sharded" if hasattr(discovery, "shards") else "flat",
         "num_shards": getattr(discovery, "num_shards", 1),
-        "cache_capacity": getattr(discovery, "cache_capacity", None),
     }
     for knob, default in ENGINE_KNOBS.items():
         config[knob] = getattr(discovery, knob, default)
@@ -192,7 +190,6 @@ def build_corpus_stores(config: dict, minhasher) -> tuple:
             ShardedDiscoveryIndex(
                 num_shards=config["num_shards"],
                 minhasher=minhasher,
-                cache_capacity=config["cache_capacity"],
                 **knobs,
             ),
             ShardedSketchStore(num_shards=config["num_shards"]),
@@ -222,10 +219,7 @@ def snapshot_platform(platform) -> dict:
         "profiles": discovery.profiles_in_order(),
         "index": capture_engine_config(discovery),
         "minhasher": getattr(discovery, "minhasher", None),
-        "platform": {
-            "discovery_top_k": platform.discovery_top_k,
-            "serving_backend": getattr(platform, "serving_backend", None),
-        },
+        "platform": {"discovery_top_k": platform.discovery_top_k},
         "proxy": proxy,
         "builder": platform.builder,
     }
@@ -240,7 +234,8 @@ def restore_platform(sections: dict):
     as the live platform grew them — and the serialised sketches are
     installed verbatim, so DP-randomised sketches survive bit for bit.
     The corpus epoch is restored last, making the replica's invalidation
-    clock continue from the saved platform's.
+    clock continue from the saved platform's.  Section keys written by
+    older versions that no longer configure anything are ignored.
     """
     from repro.core.catalog import Corpus
     from repro.core.platform import Mileena
@@ -266,6 +261,5 @@ def restore_platform(sections: dict):
         return Mileena(
             corpus=corpus,
             discovery_top_k=platform_config["discovery_top_k"],
-            serving_backend=platform_config["serving_backend"],
             **kwargs,
         )

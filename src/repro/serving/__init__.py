@@ -6,7 +6,12 @@ execution backend (``thread``/``process``), which drives a
 platform whose corpus is a :class:`ShardedSketchStore` +
 :class:`ShardedDiscoveryIndex`.  ``docs/ARCHITECTURE.md`` draws the full
 picture; ``docs/TUNING.md`` covers knob selection.  The knobs reachable
-from this layer, with defaults:
+from this layer, with defaults.  Each has one home: ``backend``,
+``cache_capacity`` and the ``snapshot_*`` knobs are :class:`GatewayConfig`
+fields (``Mileena.attach_snapshots`` also takes a directory and cadence),
+``num_shards`` is the only parameter of ``Mileena.sharded``, and the LSH
+knobs are index-constructor parameters (``ShardedDiscoveryIndex`` or
+``repro.discovery.DiscoveryIndex``):
 
 =====================  ==================  =======================================
 knob                   default             trade-off
@@ -16,8 +21,8 @@ knob                   default             trade-off
 ``cache_capacity``     ``256`` (gateway)   bigger = more memoised results, more
                                            memory; entries are epoch-scoped so
                                            churn evicts naturally
-``num_shards``         ``4``               more shards shrink per-shard scans but
-                                           add fan-out/merge overhead
+``num_shards``         ``4``               no parallelism and no memory split (one
+                                           lock, one process); flat is faster
 ``use_lsh``            ``False``           sublinear join pruning, approximate
 ``lsh_bands``          ``32``              more bands = higher recall, more
                                            candidates to score
@@ -54,7 +59,6 @@ _EXPORTS = {
     "CircuitBreaker": ("repro.serving.resilience", "CircuitBreaker"),
     "ResilientDispatch": ("repro.serving.resilience", "ResilientDispatch"),
     "ResultCache": ("repro.serving.cache", "ResultCache"),
-    "CacheView": ("repro.serving.cache", "CacheView"),
     "SingleFlight": ("repro.serving.cache", "SingleFlight"),
     "CachingProxy": ("repro.serving.cache", "CachingProxy"),
     "MetricsRegistry": ("repro.serving.metrics", "MetricsRegistry"),

@@ -36,12 +36,10 @@ _MISSING = object()
 class ResultCache:
     """A thread-safe LRU cache with hit/miss/eviction metrics.
 
-    ``version_source`` is the epoch plumbing: when provided, every key is
-    transparently scoped to the current value of the source (e.g.
-    ``Corpus.epoch`` or a sharded index's mutation counter), so entries
-    computed against an older corpus can never be returned — callers no
-    longer need to hand-build epoch-suffixed keys.  Stale entries age out
-    of the LRU naturally.
+    Callers scope their keys to the corpus epoch themselves (see
+    ``Mileena.discover_candidates`` and the gateway's request key), so
+    entries computed against an older corpus are never returned; they age
+    out of the LRU naturally.
     """
 
     def __init__(
@@ -49,44 +47,28 @@ class ResultCache:
         capacity: int = 256,
         metrics: MetricsRegistry | None = None,
         name: str = "result_cache",
-        version_source: Callable[[], int] | None = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
         self.name = name
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._version_source = version_source
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self._lock = threading.Lock()
 
-    def _scoped(self, key: Hashable) -> Hashable:
-        if self._version_source is None:
-            return key
-        return (self._version_source(), key)
-
     def get(self, key: Hashable, default: object = None) -> object:
         """The cached value for ``key`` (recording a hit or miss)."""
-        return self._get_scoped(self._scoped(key), default)
-
-    def _get_scoped(
-        self, key: Hashable, default: object = None, name: str | None = None
-    ) -> object:
-        name = name if name is not None else self.name
         with self._lock:
             value = self._entries.get(key, _MISSING)
             if value is _MISSING:
-                self.metrics.increment(f"{name}.misses")
+                self.metrics.increment(f"{self.name}.misses")
                 return default
             self._entries.move_to_end(key)
-            self.metrics.increment(f"{name}.hits")
+            self.metrics.increment(f"{self.name}.hits")
             return value
 
     def put(self, key: Hashable, value: object) -> None:
         """Insert (or refresh) an entry, evicting the least recently used."""
-        self._put_scoped(self._scoped(key), value)
-
-    def _put_scoped(self, key: Hashable, value: object) -> None:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
@@ -101,18 +83,12 @@ class ResultCache:
         may compute twice (both arrive at the same value — computations are
         deterministic), which is preferable to serialising every requester
         behind one in-flight computation.
-
-        The version scope is resolved exactly once: a result computed
-        against version V is stored under V even if the version source
-        moves while ``compute`` runs, so a stale value can never shadow the
-        new version's entry.
         """
-        key = self._scoped(key)
-        value = self._get_scoped(key, _MISSING)
+        value = self.get(key, _MISSING)
         if value is not _MISSING:
             return value
         value = compute()
-        self._put_scoped(key, value)
+        self.put(key, value)
         return value
 
     def clear(self) -> None:
@@ -123,88 +99,11 @@ class ResultCache:
         return len(self._entries)
 
     def __contains__(self, key: object) -> bool:
-        return self._scoped(key) in self._entries
-
-    def view(
-        self,
-        name: str,
-        version_source: Callable[[], int] | None = None,
-    ) -> "CacheView":
-        """A namespaced, independently version-scoped window onto this cache.
-
-        Views share the parent's entry store, capacity, LRU order, and
-        lock — one cache handle — but carry their own key namespace,
-        metrics name, and version source.  The serving layer uses this to
-        give ``ShardedDiscoveryIndex`` a discovery-candidate cache inside
-        the gateway's request cache: one memory budget, one eviction
-        policy, and per-view epoch scoping keeps each family's stale
-        entries unreachable.
-        """
-        return CacheView(self, name, version_source)
+        return key in self._entries
 
     @property
     def stats(self):
         """Hit/miss/eviction totals recorded so far."""
-        return self.metrics.cache_stats(self.name)
-
-
-class CacheView:
-    """A named, version-scoped facade over a shared :class:`ResultCache`.
-
-    Implements the same ``get``/``put``/``get_or_compute`` surface; every
-    key is stored in the parent under ``("view", name, version, key)``, so
-    views can never collide with each other or with the parent's own keys,
-    and each view invalidates on *its* version source alone.
-    """
-
-    def __init__(
-        self,
-        parent: ResultCache,
-        name: str,
-        version_source: Callable[[], int] | None = None,
-    ) -> None:
-        self.parent = parent
-        self.name = name
-        self.metrics = parent.metrics
-        self._version_source = version_source
-
-    def _scoped(self, key: Hashable) -> Hashable:
-        version = self._version_source() if self._version_source is not None else None
-        return ("view", self.name, version, key)
-
-    def get(self, key: Hashable, default: object = None) -> object:
-        return self.parent._get_scoped(self._scoped(key), default, name=self.name)
-
-    def put(self, key: Hashable, value: object) -> None:
-        self.parent._put_scoped(self._scoped(key), value)
-
-    def get_or_compute(self, key: Hashable, compute: Callable[[], object]) -> object:
-        """Same single-version-resolution contract as the parent's."""
-        key = self._scoped(key)
-        value = self.parent._get_scoped(key, _MISSING, name=self.name)
-        if value is not _MISSING:
-            return value
-        value = compute()
-        self.parent._put_scoped(key, value)
-        return value
-
-    def clear(self) -> None:
-        """Drop this view's entries (the parent's other entries survive)."""
-        with self.parent._lock:
-            prefix = ("view", self.name)
-            for key in [
-                key
-                for key in self.parent._entries
-                if isinstance(key, tuple) and key[:2] == prefix
-            ]:
-                del self.parent._entries[key]
-
-    def __contains__(self, key: object) -> bool:
-        return self._scoped(key) in self.parent._entries
-
-    @property
-    def stats(self):
-        """Hit/miss totals recorded under this view's name."""
         return self.metrics.cache_stats(self.name)
 
 

@@ -26,8 +26,7 @@ The :class:`Gateway` is the hub-and-spoke broker in front of the platform:
   :class:`MetricsRegistry`.
 
 Backend selection: ``Gateway(platform, backend="process")`` or
-``GatewayConfig(backend=...)``; ``Mileena.sharded(backend=...)`` records a
-platform-level default the gateway picks up.  All backends are result
+``GatewayConfig(backend=...)``, else ``"thread"``.  All backends are result
 identical — see ``tests/serving/test_backend_parity.py``.
 """
 
@@ -89,8 +88,8 @@ class GatewayConfig:
         (:class:`MileenaAutoMLService`) instead of search only.
     backend:
         Execution backend name (``"thread"`` or ``"process"``).
-        ``None`` defers to the platform's ``serving_backend`` hint and
-        finally to ``"thread"``.
+        ``None`` means ``"thread"`` unless ``Gateway(backend=...)`` names
+        one.
     process_workers:
         Worker *processes* for the ``process`` backend (defaults to
         ``max_workers``).  Workers use the platform's default
@@ -156,9 +155,8 @@ class GatewayConfig:
         with a typed error.  See ``docs/RELIABILITY.md``.
 
     Discovery-side knobs (``use_lsh``, ``lsh_bands``, ``target_recall``,
-    ``multi_probe``, the index-level ``cache_capacity``) live on the
-    platform's discovery index — set them via ``Mileena.sharded(...)`` or
-    the index constructors; the gateway's process backend snapshots them
+    ``multi_probe``) live on the platform's discovery index — set them on
+    the index constructor; the gateway's process backend snapshots them
     into its :class:`~repro.serving.backends.PlatformSpec` so worker
     replicas stay result-identical.  ``docs/TUNING.md`` has the combined
     knobs table and trade-offs.
@@ -271,21 +269,11 @@ class Gateway:
             # epoch-keyed cache (near-identical requests share discovery).
             if getattr(platform, "cache", None) is None:
                 platform.cache = self.cache
-            # Single cache handle: a sharded index with its own whole-query
-            # discovery cache adopts an epoch-scoped view of the gateway's
-            # cache instead — one memory budget, one eviction policy, one
-            # invalidation path.
-            discovery = getattr(getattr(platform, "corpus", None), "discovery", None)
-            if (
-                hasattr(discovery, "attach_cache")
-                and getattr(discovery, "cache", None) is not None
-            ):
-                discovery.attach_cache(self.cache)
         if getattr(platform, "metrics", None) is None:
             platform.metrics = self.metrics
         # Durable state: attach a snapshot manager when configured (a
-        # platform that already carries one — e.g. built with
-        # Mileena.sharded(snapshot_dir=...) — is reused as is, but gains
+        # platform that already carries one — e.g. from
+        # Mileena.attach_snapshots(...) — is reused as is, but gains
         # this gateway's metrics registry so persist.* counters land with
         # the serving metrics).
         self.snapshots = getattr(platform, "snapshots", None)
@@ -311,14 +299,10 @@ class Gateway:
         self._flights = SingleFlight()
         from repro.serving.backends import resolve_backend
 
-        choice = backend
-        if choice is None:
-            choice = self.config.backend
-        if choice is None:
-            choice = getattr(platform, "serving_backend", None)
-        if choice is None:
-            choice = "thread"
-        self.backend = resolve_backend(choice, self.config)
+        choice = backend if backend is not None else self.config.backend
+        self.backend = resolve_backend(
+            choice if choice is not None else "thread", self.config
+        )
         # Resilience wrapper around the dispatch stage: retry policy and
         # per-backend circuit breaker (see repro.serving.resilience and
         # docs/RELIABILITY.md).

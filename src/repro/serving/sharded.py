@@ -32,8 +32,7 @@ from repro.discovery.tfidf import IdfModel
 from repro.exceptions import DiscoveryError, SketchError
 from repro.obs import span
 from repro.relational.relation import Relation
-from repro.serving.cache import ResultCache
-from repro.serving.fingerprint import relation_fingerprint, stable_hash
+from repro.serving.fingerprint import stable_hash
 from repro.serving.metrics import MetricsRegistry
 from repro.sketches.sketch import RelationSketch
 from repro.sketches.store import SketchStore
@@ -137,13 +136,7 @@ class ShardedDiscoveryIndex:
     Each shard runs the packed vectorized engine (``vectorized``/
     ``use_lsh``/``lsh_bands``/``target_recall``/``multi_probe`` are
     forwarded; when ``target_recall`` is set the band count is derived
-    adaptively and :attr:`lsh_bands` reflects the resolved value), and
-    ``cache_capacity`` optionally enables a whole-query discovery cache
-    keyed on the relation fingerprint and scoped to :attr:`epoch`, the
-    index's mutation counter — a repeated query against an unchanged
-    corpus skips profiling and fan-out entirely, and any
-    register/unregister moves the epoch so stale candidate lists can never
-    be served.
+    adaptively and :attr:`lsh_bands` reflects the resolved value).
     """
 
     def __init__(
@@ -158,7 +151,6 @@ class ShardedDiscoveryIndex:
         lsh_bands: int = 32,
         target_recall: float | None = None,
         multi_probe: bool = False,
-        cache_capacity: int | None = None,
     ) -> None:
         if num_shards <= 0:
             raise DiscoveryError("num_shards must be positive")
@@ -175,7 +167,6 @@ class ShardedDiscoveryIndex:
         self.use_lsh = use_lsh
         self.target_recall = target_recall
         self.multi_probe = multi_probe
-        self.cache_capacity = cache_capacity
         self.norm_cache = VersionedCache(lambda: self.idf_model.version)
         self.shards = [
             DiscoveryIndex(
@@ -195,25 +186,9 @@ class ShardedDiscoveryIndex:
         # Every shard derives the same band count; expose the resolved
         # value (== lsh_bands unless target_recall triggered adaptation).
         self.lsh_bands = self.shards[0].lsh_bands if self.shards else lsh_bands
-        self._epoch = 0
-        self.cache = (
-            ResultCache(
-                capacity=cache_capacity,
-                metrics=metrics,
-                name="discovery_cache",
-                version_source=lambda: self._epoch,
-            )
-            if cache_capacity is not None
-            else None
-        )
         self._sequence: dict[str, int] = {}
         self._next_sequence = 0
         self._lock = threading.Lock()
-
-    @property
-    def epoch(self) -> int:
-        """Mutation counter: bumps on every effective register/unregister."""
-        return self._epoch
 
     def _shard_for(self, dataset: str) -> DiscoveryIndex:
         return self.shards[stable_hash(dataset) % self.num_shards]
@@ -236,13 +211,10 @@ class ShardedDiscoveryIndex:
             self._sequence.pop(profile.dataset, None)
             self._sequence[profile.dataset] = self._next_sequence
             self._next_sequence += 1
-            self._epoch += 1
         self._record("discovery.registrations")
 
     def unregister(self, dataset: str) -> None:
         with self._lock:
-            if dataset in self._sequence:
-                self._epoch += 1
             self._shard_for(dataset).unregister(dataset)
             self._sequence.pop(dataset, None)
         self._record("discovery.unregistrations")
@@ -271,19 +243,6 @@ class ShardedDiscoveryIndex:
                 for dataset in self._sequence
             ]
 
-    def attach_cache(self, cache: ResultCache) -> None:
-        """Adopt a shared serving-layer cache for whole-query memoisation.
-
-        Replaces the index's private discovery cache with an epoch-scoped
-        view of ``cache`` (usually the gateway's request ``ResultCache``):
-        one cache handle holds request results *and* discovery candidate
-        lists, with one capacity and one invalidation path — the view keys
-        every entry under this index's mutation counter, so any
-        register/unregister makes stale candidates unreachable exactly as
-        before.
-        """
-        self.cache = cache.view("discovery_cache", lambda: self._epoch)
-
     # -- discovery -------------------------------------------------------------
     def discover(self, query: Relation, augmentation_type: str, top_k: int | None = None):
         if augmentation_type == JOIN:
@@ -295,15 +254,6 @@ class ShardedDiscoveryIndex:
     def join_candidates(self, query: Relation, top_k: int | None = None) -> list[JoinCandidate]:
         """Profile the query once, fan out, merge in flat-scan order."""
         self._record("discovery.join_queries")
-        if self.cache is not None:
-            full = self.cache.get_or_compute(
-                ("join", relation_fingerprint(query)),
-                lambda: self._join_fanout(query),
-            )
-            return full[:top_k] if top_k is not None else list(full)
-        return self._join_fanout(query, top_k)
-
-    def _join_fanout(self, query: Relation, top_k: int | None = None) -> list[JoinCandidate]:
         with span("discovery.shard_fanout", kind=JOIN, num_shards=self.num_shards):
             query_profile = profile_relation(query, self.minhasher)
             with self._lock:
@@ -317,15 +267,6 @@ class ShardedDiscoveryIndex:
     def union_candidates(self, query: Relation, top_k: int | None = None) -> list[UnionCandidate]:
         """Profile the query and compute corpus IDF once, fan out, merge."""
         self._record("discovery.union_queries")
-        if self.cache is not None:
-            full = self.cache.get_or_compute(
-                ("union", relation_fingerprint(query)),
-                lambda: self._union_fanout(query),
-            )
-            return full[:top_k] if top_k is not None else list(full)
-        return self._union_fanout(query, top_k)
-
-    def _union_fanout(self, query: Relation, top_k: int | None = None) -> list[UnionCandidate]:
         with span("discovery.shard_fanout", kind=UNION, num_shards=self.num_shards):
             query_profile = profile_relation(query, self.minhasher)
             with self._lock:

@@ -30,9 +30,8 @@ def test_truncated_newest_snapshot_falls_back_to_chain(
 ):
     """Tear the newest snapshot at a quarter boundary: load quarantines it
     and recovers bit-identically from the previous version + sealed WAL."""
-    platform = Mileena.sharded(
-        num_shards=2, snapshot_dir=tmp_path, snapshot_every_mutations=3
-    )
+    platform = Mileena.sharded(num_shards=2)
+    platform.attach_snapshots(tmp_path, every_mutations=3)
     for relation in persist_corpus.providers[:8]:
         platform.register_dataset(relation)
     # Cadence snapshots landed at epochs 3 and 6; epochs 7-8 sit in the

@@ -14,10 +14,11 @@ import struct
 import numpy as np
 import pytest
 
-from repro.core import Mileena, SearchRequest
+from repro.core import Corpus, Mileena, SearchRequest
 from repro.datasets import CorpusSpec, generate_corpus
 from repro.exceptions import PersistError
 from repro.persist import read_snapshot, snapshot_platform, write_snapshot
+from repro.serving import ShardedDiscoveryIndex, ShardedSketchStore
 
 _SPEC = CorpusSpec(num_datasets=12, requester_rows=120, provider_rows=120, seed=3)
 
@@ -102,18 +103,19 @@ def test_flat_roundtrip_bit_identity(tmp_path, corpus, request_for):
     assert_platforms_identical(live, loaded, corpus, request_for)
 
 
-def test_sharded_roundtrip_bit_identity(tmp_path, corpus, request_for):
-    live = populate(
-        Mileena.sharded(
-            num_shards=3,
-            use_lsh=True,
-            target_recall=0.9,
-            multi_probe=True,
-            discovery_cache_capacity=8,
-            backend="thread",
-        ),
-        corpus,
+def sharded_lsh_platform():
+    return Mileena(
+        corpus=Corpus(
+            discovery=ShardedDiscoveryIndex(
+                num_shards=3, use_lsh=True, target_recall=0.9, multi_probe=True
+            ),
+            sketches=ShardedSketchStore(num_shards=3),
+        )
     )
+
+
+def test_sharded_roundtrip_bit_identity(tmp_path, corpus, request_for):
+    live = populate(sharded_lsh_platform(), corpus)
     path = live.save(tmp_path / "snapshot.bin")
     loaded = Mileena.load(path)
     discovery = loaded.corpus.discovery
@@ -121,7 +123,25 @@ def test_sharded_roundtrip_bit_identity(tmp_path, corpus, request_for):
     assert discovery.num_shards == 3
     assert discovery.lsh_bands == live.corpus.discovery.lsh_bands
     assert discovery.multi_probe and discovery.target_recall == 0.9
-    assert loaded.serving_backend == "thread"
+    assert_platforms_identical(live, loaded, corpus, request_for)
+
+
+def test_snapshot_with_retired_keys_still_loads(tmp_path, corpus, request_for):
+    """Files written before the platform backend hint and the index-level
+    discovery cache were removed carry their keys; the reader ignores them."""
+    live = populate(sharded_lsh_platform(), corpus)
+    with live.corpus.frozen():
+        sections = snapshot_platform(live)
+    sections["platform"] = {
+        "discovery_top_k": live.discovery_top_k,
+        "serving_backend": "process",
+    }
+    sections["index"] = {**sections["index"], "cache_capacity": 8}
+    path = tmp_path / "snapshot.bin"
+    write_snapshot(path, sections)
+    loaded = Mileena.load(path)
+    assert read_snapshot(path)["index"]["cache_capacity"] == 8
+    assert loaded.corpus.discovery.num_shards == 3
     assert_platforms_identical(live, loaded, corpus, request_for)
 
 

@@ -112,10 +112,8 @@ def test_apply_records_refuses_gaps():
 
 # -- cadence policy -------------------------------------------------------------
 def test_mutation_cadence_snapshots_and_truncates(tmp_path, corpus):
-    platform = Mileena.sharded(
-        num_shards=2, snapshot_dir=tmp_path, snapshot_every_mutations=3
-    )
-    manager = platform.snapshots
+    platform = Mileena.sharded(num_shards=2)
+    manager = platform.attach_snapshots(tmp_path, every_mutations=3)
     for relation in corpus.providers[:8]:
         platform.register_dataset(relation)
     # 8 mutations at cadence 3: snapshots after #3 and #6, WAL holds 2.
@@ -155,9 +153,8 @@ def test_add_many_is_one_wal_record(tmp_path, corpus):
 
 
 def test_crash_between_snapshots_replays_wal_tail(tmp_path, corpus):
-    platform = Mileena.sharded(
-        num_shards=2, snapshot_dir=tmp_path, snapshot_every_mutations=100
-    )
+    platform = Mileena.sharded(num_shards=2)
+    platform.attach_snapshots(tmp_path, every_mutations=100)
     for relation in corpus.providers[:6]:
         platform.register_dataset(relation)
     platform.corpus.remove(corpus.providers[2].name)

@@ -240,6 +240,7 @@ def test_follower_deadline_does_not_cancel_leader():
     from repro.core import WallClock
 
     release = threading.Event()
+    started = threading.Event()
 
     class _StubCorpus:
         epoch = 0
@@ -257,6 +258,7 @@ def test_follower_deadline_does_not_cancel_leader():
 
         def search(self, request, train_final_model=True):
             self.calls += 1
+            started.set()  # the leader owns the flight once it computes
             if not release.wait(timeout=10.0):
                 raise TimeoutError("leader was never released")
             return request.max_augmentations
@@ -272,7 +274,7 @@ def test_follower_deadline_does_not_cancel_leader():
         request = _stub_request()
         budget = 1.0
         leader = gateway.submit(request, time_budget_seconds=budget)
-        time.sleep(0.1)  # let the leader claim the flight and start computing
+        assert started.wait(timeout=10.0), "leader never started computing"
         impatient = gateway.submit(request, time_budget_seconds=budget)
         time.sleep(0.4)  # a later follower: its deadline outlives impatient's
         patient = gateway.submit(request, time_budget_seconds=budget)

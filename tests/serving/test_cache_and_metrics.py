@@ -227,26 +227,3 @@ def test_caching_proxy_keys_entries_by_one_content_digest():
     assert len(keys) == 3
     assert all(isinstance(key, bytes) and len(key) == 16 for key in keys)
 
-
-def test_cache_version_source_scopes_entries_to_epoch():
-    epoch = {"value": 0}
-    cache = ResultCache(capacity=8, version_source=lambda: epoch["value"])
-    cache.put("k", "old")
-    assert cache.get("k") == "old"
-    assert "k" in cache
-    epoch["value"] += 1  # corpus mutated: the old entry must be unreachable
-    assert cache.get("k") is None
-    assert "k" not in cache
-    cache.put("k", "new")
-    assert cache.get("k") == "new"
-    epoch["value"] -= 1  # rolling back reveals the old-epoch entry again
-    assert cache.get("k") == "old"
-
-
-def test_cache_version_source_get_or_compute():
-    epoch = {"value": 0}
-    cache = ResultCache(capacity=8, version_source=lambda: epoch["value"])
-    assert cache.get_or_compute("k", lambda: "a") == "a"
-    assert cache.get_or_compute("k", lambda: "b") == "a"
-    epoch["value"] += 1
-    assert cache.get_or_compute("k", lambda: "b") == "b"

@@ -1,10 +1,15 @@
-"""The gateway's configuration surface is pinned: it may only shrink on purpose.
+"""The serving configuration surface is pinned: it may only shrink on purpose.
+
+Each serving choice has one home: ``GatewayConfig`` for the gateway,
+``Mileena`` fields for the platform, ``Mileena.sharded(num_shards)`` for
+the shard count, and the index constructor for discovery knobs.
 
 Like ``test_removed_async_backend_fails_loudly``, removed knobs must fail
 loudly (``TypeError``), never be silently accepted, and must not linger
 in the source or the docs.
 """
 
+import inspect
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -12,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import Mileena
-from repro.serving import GatewayConfig
+from repro.serving import GatewayConfig, ResultCache, ShardedDiscoveryIndex
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -57,6 +62,52 @@ REMOVED_FIELDS = [
     "warm_start",
 ]
 
+MILEENA_FIELDS = [
+    "builder",
+    "cache",
+    "clock",
+    "corpus",
+    "discovery_top_k",
+    "metrics",
+    "proxy",
+    "snapshots",
+]
+
+SHARDED_INDEX_PARAMS = [
+    "num_shards",
+    "minhasher",
+    "join_threshold",
+    "union_threshold",
+    "metrics",
+    "vectorized",
+    "use_lsh",
+    "lsh_bands",
+    "target_recall",
+    "multi_probe",
+]
+
+RESULT_CACHE_PARAMS = ["capacity", "metrics", "name"]
+
+# Keywords ``Mileena.sharded`` used to take besides ``num_shards``.
+REMOVED_SHARDED_KEYWORDS = [
+    "backend",
+    "discovery_cache_capacity",
+    "multi_probe",
+    "snapshot_dir",
+    "snapshot_every_mutations",
+    "target_recall",
+    "use_lsh",
+]
+
+# Removed classes, methods and fields that must not linger by name.
+REMOVED_NAMES = [
+    "CacheView",
+    "attach_cache",
+    "discovery_cache",
+    "discovery_cache_capacity",
+    "serving_backend",
+]
+
 
 def test_gateway_config_fields_are_pinned():
     assert sorted(f.name for f in fields(GatewayConfig)) == GATEWAY_FIELDS
@@ -79,8 +130,51 @@ def test_search_takes_no_discovery_top_k_override():
         Mileena().search(None, discovery_top_k=4)
 
 
+def test_mileena_fields_are_pinned():
+    assert sorted(f.name for f in fields(Mileena)) == MILEENA_FIELDS
+
+
+def test_sharded_takes_only_num_shards():
+    parameters = inspect.signature(Mileena.sharded).parameters
+    assert [(p.name, p.kind) for p in parameters.values()] == [
+        ("num_shards", inspect.Parameter.POSITIONAL_OR_KEYWORD),
+        ("kwargs", inspect.Parameter.VAR_KEYWORD),
+    ]
+
+
+def test_index_and_cache_parameters_are_pinned():
+    assert list(inspect.signature(ShardedDiscoveryIndex).parameters) == (
+        SHARDED_INDEX_PARAMS
+    )
+    assert list(inspect.signature(ResultCache).parameters) == RESULT_CACHE_PARAMS
+
+
+@pytest.mark.parametrize("name", REMOVED_SHARDED_KEYWORDS)
+def test_removed_sharded_keyword_is_rejected(name):
+    with pytest.raises(TypeError, match=name):
+        Mileena.sharded(num_shards=2, **{name: None})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: Mileena(serving_backend="thread"), id="serving_backend"),
+        pytest.param(
+            lambda: ShardedDiscoveryIndex(cache_capacity=8), id="cache_capacity"
+        ),
+        pytest.param(
+            lambda: ResultCache(version_source=lambda: 0), id="version_source"
+        ),
+    ],
+)
+def test_removed_constructor_keyword_is_rejected(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_removed_names_are_gone_from_source_and_docs():
-    pattern = re.compile(r"\b(" + "|".join(REMOVED_FIELDS) + r")\b")
+    removed = REMOVED_FIELDS + REMOVED_NAMES
+    pattern = re.compile(r"\b(" + "|".join(removed) + r")\b")
     paths = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
     paths += sorted((ROOT / "src").rglob("*.py"))
     stale = [

@@ -165,20 +165,20 @@ def test_rejection_metrics_identical_for_submit_and_run_many():
     "where, name",
     [
         pytest.param("config", "async", id="config"),
-        pytest.param("platform", "async", id="platform"),
+        pytest.param("gateway", "async", id="gateway"),
         pytest.param("config", "replicated", id="config-replicated"),
-        pytest.param("platform", "replicated", id="platform-replicated"),
+        pytest.param("gateway", "replicated", id="gateway-replicated"),
     ],
 )
 def test_removed_async_backend_fails_loudly(where, name):
     """A removed backend name (``"async"``, ``"replicated"``) must raise,
-    never fall back to thread."""
-    if where == "config":
-        platform, config = Mileena(), GatewayConfig(backend=name)
-    else:
-        platform, config = Mileena.sharded(backend=name), GatewayConfig()
+    never fall back to thread, whether it comes from the config or from
+    ``Gateway(backend=...)``."""
     with pytest.raises(BackendError) as raised:
-        Gateway(platform, config)
+        if where == "config":
+            Gateway(Mileena(), GatewayConfig(backend=name))
+        else:
+            Gateway(Mileena(), GatewayConfig(), backend=name)
     message = str(raised.value)
     assert f"{name!r}" in message
     expected = message.split("expected one of", 1)[1]

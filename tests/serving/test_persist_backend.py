@@ -33,8 +33,10 @@ def request_for(corpus):
     )
 
 
-def fresh_platform(corpus, **kwargs):
-    platform = Mileena.sharded(num_shards=2, **kwargs)
+def fresh_platform(corpus, snapshot_dir=None):
+    platform = Mileena.sharded(num_shards=2)
+    if snapshot_dir is not None:
+        platform.attach_snapshots(snapshot_dir, every_mutations=64)
     for relation in corpus.providers[:_INITIAL]:
         platform.register_dataset(relation)
     return platform

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core import Mileena, SearchRequest
+from repro.core import Corpus, Mileena, SearchRequest
 from repro.datasets import CorpusSpec, generate_corpus
 from repro.discovery import DiscoveryIndex, DiscoveryIndexLike, MinHasher
 from repro.exceptions import DiscoveryError, SketchError
-from repro.serving import ShardedDiscoveryIndex, ShardedSketchStore
+from repro.serving import ResultCache, ShardedDiscoveryIndex, ShardedSketchStore
 from repro.sketches import SketchBuilder, SketchStore, SketchStoreLike
 
 
@@ -172,40 +172,15 @@ def test_sharded_index_scalar_shards_match_vectorized(corpus):
     assert lsh.union_candidates(corpus.train) == scalar.union_candidates(corpus.train)
 
 
-def test_sharded_index_epoch_counts_effective_mutations(corpus):
-    sharded = ShardedDiscoveryIndex(num_shards=2)
-    assert sharded.epoch == 0
-    sharded.register(corpus.providers[0])
-    sharded.register(corpus.providers[1])
-    assert sharded.epoch == 2
-    sharded.unregister("never_registered")  # no-op: epoch must not move
-    assert sharded.epoch == 2
-    sharded.unregister(corpus.providers[0].name)
-    assert sharded.epoch == 3
-
-
-def test_sharded_index_discovery_cache_serves_and_invalidates(corpus):
-    uncached = ShardedDiscoveryIndex(num_shards=2)
-    cached = ShardedDiscoveryIndex(num_shards=2, cache_capacity=16)
-    for relation in corpus.providers[:8]:
-        uncached.register(relation)
-        cached.register(relation)
-    first = cached.join_candidates(corpus.train)
-    assert first == uncached.join_candidates(corpus.train)
-    assert cached.join_candidates(corpus.train) == first
-    assert cached.cache.stats.hits >= 1
-    assert cached.union_candidates(corpus.train, top_k=2) == uncached.union_candidates(
-        corpus.train, top_k=2
-    )
-    # A registration moves the epoch, so the cached candidate list (which
-    # does not contain the new dataset) can never be served again.
-    uncached.register(corpus.providers[8])
-    cached.register(corpus.providers[8])
-    assert cached.join_candidates(corpus.train) == uncached.join_candidates(corpus.train)
-
-
 def test_sharded_platform_with_lsh_and_cache_serves_requests(corpus):
-    platform = Mileena.sharded(num_shards=2, use_lsh=True, discovery_cache_capacity=8)
+    # LSH lives on the index constructor; the discovery memo on the platform.
+    platform = Mileena(
+        corpus=Corpus(
+            discovery=ShardedDiscoveryIndex(num_shards=2, use_lsh=True),
+            sketches=ShardedSketchStore(num_shards=2),
+        ),
+        cache=ResultCache(capacity=8),
+    )
     for relation in corpus.providers[:6]:
         platform.register_dataset(relation)
     request = SearchRequest(
@@ -213,3 +188,4 @@ def test_sharded_platform_with_lsh_and_cache_serves_requests(corpus):
     )
     result = platform.search(request)
     assert result is not None
+    assert platform.cache.stats.misses == 1
