@@ -6,8 +6,9 @@ them on a pluggable execution backend, enforces per-request deadlines,
 coalesces duplicate work, and memoises results in an epoch-keyed LRU cache.
 
 Backends: ``thread`` (default) and ``process`` (true multi-core — each
-worker process bootstraps a platform replica from pickled registrations).
-Both return identical results.
+worker process restores a platform replica from the parent's snapshot
+sections).  Both return identical results.  Exits non-zero when any
+response is not ok.
 
 Run with:  PYTHONPATH=src python examples/serving_gateway.py [backend]
 """
@@ -19,7 +20,7 @@ from repro.datasets import CorpusSpec, generate_corpus
 from repro.serving import Gateway, GatewayConfig
 
 
-def main() -> None:
+def main() -> int:
     backend = sys.argv[1] if len(sys.argv) > 1 else "process"
 
     # 1. Generate a synthetic open-data corpus and a requester task.
@@ -36,9 +37,10 @@ def main() -> None:
     )
 
     # 3. Put the gateway in front: 4 workers, bounded queue, result cache.
-    #    With the process backend the platform (relations + prebuilt
-    #    sketches) is pickled into every worker once at startup; requests
-    #    and results cross the process boundary as picklable envelopes.
+    #    With the process backend every worker restores the platform's
+    #    snapshot sections (prebuilt sketches + discovery profiles) once at
+    #    startup; requests and results cross the process boundary as
+    #    picklable envelopes.
     config = GatewayConfig(
         max_workers=4, max_pending=32, cache_capacity=128, backend=backend
     )
@@ -77,7 +79,8 @@ def main() -> None:
         #    every stage (admission, queue wait, service time, cache).
         print("\nserving metrics:")
         print(gateway.metrics.render())
+    return 0 if all(response.ok for response in responses) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

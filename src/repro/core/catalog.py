@@ -71,11 +71,6 @@ class Corpus:
         # must not call corpus mutators.
         self._observers: list = []
 
-    def registration_snapshot(self) -> tuple[int, dict[str, DatasetRegistration]]:
-        """An atomic (epoch, registrations-copy) pair."""
-        with self._lock:
-            return self.epoch, dict(self.registrations)
-
     # -- mutation journal --------------------------------------------------------
     def subscribe(self, observer) -> int:
         """Start journaling mutations to ``observer``; returns the current epoch.

@@ -147,9 +147,10 @@ def read_snapshot(path: str | Path) -> dict:
 
 #: Engine knobs captured per index, with the defaults assumed when an
 #: implementation does not expose one.  This is the single authoritative
-#: list: the snapshot format *and* the process backend's ``PlatformSpec``
-#: both capture with :func:`capture_engine_config` and rebuild with
-#:func:`build_corpus_stores`, so a knob added here replicates everywhere.
+#: list: snapshot sections capture it with :func:`capture_engine_config`
+#: and rebuild with :func:`build_corpus_stores`, and both snapshot files
+#: and the process backend's replicas are built from those sections, so a
+#: knob added here replicates everywhere.
 ENGINE_KNOBS = {
     "join_threshold": 0.3,
     "union_threshold": 0.55,

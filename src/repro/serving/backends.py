@@ -11,18 +11,19 @@ a backend decides *where* requests run:
 
 ``process``
     A ``ProcessPoolExecutor`` of *platform replicas* for true multi-core
-    speedup.  Each worker process bootstraps its own copy of the platform
-    from a picklable :class:`PlatformSpec` (raw relations **and** the
-    prebuilt sketches ride along, because a DP-privatised sketch is
-    randomised at registration time — rebuilding it in the worker would
-    break result identity with the parent).  Requests travel as picklable
-    :class:`RequestEnvelope`\\ s carrying the post-bootstrap corpus
-    mutation log, so replicas replay register/unregister churn before
-    computing; every outcome is epoch-stamped and a replica that cannot
-    reach the envelope's expected epoch reports ``stale`` and the parent
-    recomputes locally instead of serving (or caching) a wrong-corpus
-    result.  Orchestration (cache, coalescing, deadlines) stays in parent
-    threads, so all backends share one cache and one coalescing table.
+    speedup.  Each worker process restores its own copy of the platform
+    from a picklable :class:`PlatformSpec` holding the parent's snapshot
+    sections — the same restore ``Mileena.load`` runs, so profiles are
+    replayed rather than recomputed and DP-privatised sketches (randomised
+    at registration time) are installed verbatim.  Requests travel as
+    picklable :class:`RequestEnvelope`\\ s carrying the post-bootstrap
+    corpus mutation log, so replicas replay register/unregister churn
+    before computing; every outcome is epoch-stamped and a replica that
+    cannot reach the envelope's expected epoch reports ``stale`` and the
+    parent recomputes locally instead of serving (or caching) a
+    wrong-corpus result.  Orchestration (cache, coalescing, deadlines)
+    stays in parent threads, so all backends share one cache and one
+    coalescing table.
 
 All backends are result identical under concurrent
 register/unregister churn — ``tests/serving/test_backend_parity.py`` is
@@ -128,49 +129,28 @@ class ThreadBackend:
 # -- process backend -----------------------------------------------------------
 @dataclass
 class PlatformSpec:
-    """Everything a worker process needs to rebuild the platform.
+    """Everything a worker process needs to build its platform replica.
 
-    Every field must pickle.  ``registrations`` are the parent's
-    :class:`~repro.core.catalog.DatasetRegistration` objects (raw relation
-    + privacy budget + *prebuilt* sketch): discovery profiles are
-    re-derived deterministically from the relations, while sketches are
-    reused verbatim so privatised (randomised) sketches stay identical
-    across replicas.  ``base_epoch`` is the parent corpus epoch the
-    snapshot corresponds to; the mutation log in each envelope continues
-    from there.
-
-    When the gateway has durable state (``GatewayConfig.snapshot_dir``),
-    ``snapshot`` is ``(path, epoch)`` of the on-disk snapshot file and
-    ``registrations`` stays empty: workers warm-start via
-    ``Mileena.load`` — profiles are restored without re-profiling a
-    single relation, and nothing heavyweight crosses the pickle boundary.
+    ``sections`` is :func:`~repro.persist.snapshot.snapshot_platform` of
+    the parent platform, captured under ``corpus.frozen()``: registrations
+    (with their prebuilt, possibly DP-randomised sketches), discovery
+    profiles, the engine configuration, the platform components and the
+    corpus epoch.  Replicas rebuild from it with
+    :func:`~repro.persist.snapshot.restore_platform`, so a replica and a
+    restart from a snapshot file can never drift apart.  The mutation log
+    in each envelope continues from :attr:`base_epoch`.  Every field must
+    pickle.
     """
 
-    #: Full discovery-index configuration (kind, shard count, every engine
-    #: knob incl. the adaptive/multi-probe LSH ones — replicas must
-    #: re-derive the same band layout as the parent or process-backend
-    #: results would diverge).  Captured with
-    #: :func:`repro.persist.snapshot.capture_engine_config` and rebuilt
-    #: with :func:`repro.persist.snapshot.build_corpus_stores` — the same
-    #: pair the snapshot format uses, so replica bootstrap and snapshot
-    #: restore can never drift apart knob by knob.
-    index: dict
-    discovery_top_k: int
+    sections: dict
     search_fraction: float
     automl_splits: int
-    base_epoch: int
-    registrations: tuple = ()
-    # Non-default platform components (proxy model, sketch builder, shared
-    # MinHasher) must replicate too, or a customised platform would return
-    # different results from worker processes than from the parent.  The
-    # proxy is the *unwrapped* model — each replica gets its own
-    # CachingProxy (an inherited one would carry an unpicklable lock and a
-    # cache that must not be shared across processes anyway).
-    proxy: object | None = None
-    builder: object | None = None
-    minhasher: object | None = None
-    cache_proxy_scores: bool = True
-    snapshot: tuple | None = None
+    cache_proxy_scores: bool
+
+    @property
+    def base_epoch(self) -> int:
+        """The parent corpus epoch the sections capture."""
+        return self.sections["epoch"]
 
 
 @dataclass
@@ -212,36 +192,16 @@ class PlatformReplica:
     """A per-worker-process copy of the platform, rebuilt from a spec."""
 
     def __init__(self, spec: PlatformSpec) -> None:
+        from repro.persist.snapshot import restore_platform
+
         self.spec = spec
         self.reloads = 0
-        if spec.snapshot is not None:
-            self._install_snapshot(spec.snapshot[0])
-        else:
-            self._install(self._build_platform(spec), spec.base_epoch)
+        self._install(restore_platform(spec.sections))
         registrations = self.platform.corpus.registrations
         if registrations:
             self._warm_up(next(iter(registrations.values())).relation)
 
-    def _build_platform(self, spec: PlatformSpec):
-        from repro.core.catalog import Corpus
-        from repro.core.platform import Mileena
-        from repro.discovery.minhash import MinHasher
-        from repro.persist.snapshot import build_corpus_stores
-
-        minhasher = spec.minhasher if spec.minhasher is not None else MinHasher()
-        discovery, sketches = build_corpus_stores(spec.index, minhasher)
-        corpus = Corpus(discovery=discovery, sketches=sketches)
-        kwargs = {}
-        if spec.proxy is not None:
-            kwargs["proxy"] = spec.proxy
-        if spec.builder is not None:
-            kwargs["builder"] = spec.builder
-        platform = Mileena(corpus=corpus, discovery_top_k=spec.discovery_top_k, **kwargs)
-        for registration in spec.registrations:
-            corpus.add(registration)
-        return platform
-
-    def _install(self, platform, parent_epoch: int) -> None:
+    def _install(self, platform) -> None:
         """Adopt ``platform`` as this replica's state (bootstrap or reload)."""
         from repro.core.service import MileenaAutoMLService
         from repro.serving.cache import CachingProxy
@@ -254,22 +214,20 @@ class PlatformReplica:
             search_fraction=self.spec.search_fraction,
             automl_splits=self.spec.automl_splits,
         )
-        #: The parent corpus epoch this replica's state corresponds to.
-        self.parent_epoch = parent_epoch
+        #: The parent corpus epoch this replica's state corresponds to: a
+        #: restored corpus carries the parent's epoch counter.
+        self.parent_epoch = platform.corpus.epoch
 
     def _install_snapshot(self, path: str) -> None:
-        """(Re)build the platform from the on-disk snapshot file.
+        """Rebuild the platform from the on-disk snapshot file.
 
-        A restored corpus carries the parent's epoch counter, so
-        ``parent_epoch`` continues from whatever the file holds — which
-        may be newer than the ref that pointed here (snapshot files are
-        atomically replaced); replay simply skips the already-covered
-        records.
+        Snapshot files are atomically replaced, so the file may be newer
+        than the ref that pointed here; replay simply skips the
+        already-covered records.
         """
         from repro.core.platform import Mileena
 
-        platform = Mileena.load(path)
-        self._install(platform, platform.corpus.epoch)
+        self._install(Mileena.load(path))
 
     def _warm_up(self, relation) -> None:
         """Prime the lazily built engine structures (packed signature
@@ -394,32 +352,22 @@ def _execute_envelope(envelope: RequestEnvelope) -> ComputeOutcome:
 
 
 def platform_spec(gateway) -> PlatformSpec:
-    """Snapshot the gateway's platform into a picklable worker spec.
+    """Capture the gateway's platform into a picklable worker spec.
 
-    Everything captured here must pickle (the ``spawn`` start method pickles
-    the spec outright; ``fork`` inherits it, but envelopes and results are
-    always pickled).  Custom clocks and monkeypatched platform stubs are
-    deliberately not captured — use the thread backend for those.
+    Takes the corpus lock, so it must never be called while holding the
+    process backend's log lock (the lock order is corpus → log).  Custom
+    clocks and monkeypatched platform stubs are deliberately not captured
+    — use the thread backend for those.
     """
-    from repro.persist.snapshot import capture_engine_config
-    from repro.serving.cache import CachingProxy
+    from repro.persist.snapshot import snapshot_platform
 
     platform = gateway.platform
-    discovery = platform.corpus.discovery
-    proxy = platform.proxy
-    if isinstance(proxy, CachingProxy):
-        proxy = proxy.inner
-    base_epoch, registrations = platform.corpus.registration_snapshot()
+    with platform.corpus.frozen():
+        sections = snapshot_platform(platform)
     return PlatformSpec(
-        index=capture_engine_config(discovery),
-        discovery_top_k=platform.discovery_top_k,
+        sections=sections,
         search_fraction=gateway.service.search_fraction,
         automl_splits=gateway.service.automl_splits,
-        base_epoch=base_epoch,
-        registrations=tuple(registrations.values()),
-        proxy=proxy,
-        builder=platform.builder,
-        minhasher=getattr(discovery, "minhasher", None),
         cache_proxy_scores=gateway.config.cache_proxy_scores,
     )
 
@@ -469,45 +417,27 @@ class ProcessPoolBackend:
         # inverted.
         self._pending_snapshot: tuple | None = None
         self._log_lock = threading.Lock()
-        # Supervision state: the bootstrap spec is kept so a broken pool
-        # (dead worker) can be respawned; the generation counter makes
-        # restarts idempotent across racing orchestrator threads (only the
-        # thread that saw the still-current generation rebuilds — the rest
-        # just redispatch onto the fresh pool).
-        self._spec: PlatformSpec | None = None
+        # Supervision state: the generation counter makes restarts
+        # idempotent across racing orchestrator threads (only the thread
+        # that saw the still-current generation rebuilds — the rest just
+        # redispatch onto the fresh pool).
         self._pool_generation = 0
         self._restart_lock = threading.Lock()
 
     def start(self, gateway) -> None:
         self._gateway = gateway
-        corpus = gateway.platform.corpus
-        # Journal first, snapshot second: anything that mutates between
-        # the two lands in the log with an epoch the bootstrap state
+        # Journal first, capture second: anything that mutates between
+        # the two lands in the log with an epoch the captured state
         # already covers, and the floor drops it before the first envelope.
-        self._synced_epoch = corpus.subscribe(self._observe)
+        self._synced_epoch = gateway.platform.corpus.subscribe(self._observe)
         manager = getattr(gateway, "snapshots", None)
-        spec = platform_spec(gateway)
         if manager is not None:
-            # Bootstrap replicas from the durable snapshot instead of
-            # pickling every registration into the spec: refresh the file
-            # to the current corpus state and ship only its path.
-            path = manager.snapshot()
-            self._pending_snapshot = (str(path), manager.snapshot_epoch)
-            spec = replace(
-                spec,
-                registrations=(),
-                base_epoch=manager.snapshot_epoch,
-                snapshot=(str(path), manager.snapshot_epoch),
-            )
             manager.add_listener(self._on_snapshot)
-        with self._log_lock:
-            self._floor = spec.base_epoch
         self._workers = self.config.process_workers or self.config.max_workers
-        self._spec = spec
         # The process pool is created (and warmed) before any orchestration
         # thread exists, so fork-started workers never inherit a mid-request
         # parent thread.
-        self._pool = self._spawn_pool(spec)
+        self._pool = self._spawn_pool(platform_spec(gateway))
         self._orchestrator = ThreadPoolExecutor(
             max_workers=self.config.max_workers,
             thread_name_prefix="gateway-orchestrator",
@@ -544,6 +474,7 @@ class ProcessPoolBackend:
             for pid in pids:
                 # Every worker bootstrapped at (at least) the base state.
                 self._acked.setdefault(pid, spec.base_epoch)
+            self._floor = max(self._floor, spec.base_epoch)
         return pool
 
     def _ensure_pool(self, generation: int) -> None:
@@ -551,11 +482,10 @@ class ProcessPoolBackend:
 
         ``generation`` is the pool generation the caller dispatched
         against — when another thread already swapped the pool, there is
-        nothing to do.  The replacement pool warm-starts from the newest
-        on-disk snapshot when one exists (replicas come back at its epoch
-        and replay only the envelope tail) and otherwise re-captures the
-        live platform, so recovered workers are result identical to the
-        crashed ones.
+        nothing to do.  The replacement pool is restored from a fresh
+        capture of the live platform, exactly as at start, so recovered
+        workers are result identical to the crashed ones and replay only
+        the mutations that land after the capture.
         """
         with self._restart_lock:
             if self._pool_generation != generation:
@@ -564,27 +494,11 @@ class ProcessPoolBackend:
             with span("replica.restart") as restart:
                 old_pool = self._pool
                 with self._log_lock:
-                    pending = self._pending_snapshot
-                    if pending is not None and (
-                        self._snapshot_ref is None or pending[1] > self._snapshot_ref[1]
-                    ):
-                        self._snapshot_ref = pending
-                    snapshot = self._snapshot_ref
                     # Dead workers never acknowledge again; their stale
                     # entries would pin the log floor forever.
                     self._acked = {}
-                if snapshot is not None:
-                    spec = replace(
-                        self._spec,
-                        registrations=(),
-                        base_epoch=snapshot[1],
-                        snapshot=snapshot,
-                    )
-                else:
-                    spec = platform_spec(gateway)
+                spec = platform_spec(gateway)
                 self._pool = self._spawn_pool(spec)
-                with self._log_lock:
-                    self._floor = max(self._floor, spec.base_epoch)
                 self._pool_generation += 1
                 restart.annotate(
                     generation=self._pool_generation, epoch=spec.base_epoch

@@ -93,18 +93,17 @@ class GatewayConfig:
     process_workers:
         Worker *processes* for the ``process`` backend (defaults to
         ``max_workers``).  Workers use the platform's default
-        ``multiprocessing`` start method and are bootstrapped and warmed
-        at gateway construction.
+        ``multiprocessing`` start method and are restored from the live
+        platform's snapshot sections and warmed at gateway construction.
     snapshot_dir:
         Durable-state directory (``None`` = no persistence).  When set,
         the gateway attaches a :class:`~repro.persist.SnapshotManager` to
         the platform: every corpus mutation is journaled to a WAL, the
         cadence policy below re-snapshots and truncates it, and a restart
-        is ``Mileena.load(snapshot_dir)``.  The process backend also
-        bootstraps its worker replicas from the snapshot file (plus the
-        envelope-carried WAL tail) and re-bases its mutation log on every
-        new snapshot, which is what keeps envelope logs bounded under
-        sustained churn.
+        is ``Mileena.load(snapshot_dir)``.  The process backend re-bases
+        its mutation log on every new snapshot (a replica that falls
+        behind reloads the file), which is what keeps envelope logs
+        bounded under sustained churn.
     snapshot_every_mutations:
         The re-snapshot cadence (see :class:`~repro.persist.SnapshotManager`);
         it also bounds the WAL and the process backend's per-envelope
@@ -156,9 +155,9 @@ class GatewayConfig:
 
     Discovery-side knobs (``use_lsh``, ``lsh_bands``, ``target_recall``,
     ``multi_probe``) live on the platform's discovery index — set them on
-    the index constructor; the gateway's process backend snapshots them
-    into its :class:`~repro.serving.backends.PlatformSpec` so worker
-    replicas stay result-identical.  ``docs/TUNING.md`` has the combined
+    the index constructor; the process backend's
+    :class:`~repro.serving.backends.PlatformSpec` carries them in the
+    snapshot sections so worker replicas stay result-identical.  ``docs/TUNING.md`` has the combined
     knobs table and trade-offs.
     """
 

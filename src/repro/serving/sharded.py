@@ -158,9 +158,10 @@ class ShardedDiscoveryIndex:
         self.minhasher = minhasher if minhasher is not None else MinHasher()
         self.idf_model = IdfModel()
         self.metrics = metrics
-        # Constructor knobs are kept as attributes so the serving layer's
-        # process backend can rebuild an identically configured replica in
-        # a worker process (see repro.serving.backends.platform_spec).
+        # Constructor knobs are kept as attributes so snapshot sections
+        # (snapshot files and process-backend replicas alike) can rebuild
+        # an identically configured index (see
+        # repro.persist.snapshot.capture_engine_config).
         self.join_threshold = join_threshold
         self.union_threshold = union_threshold
         self.vectorized = vectorized

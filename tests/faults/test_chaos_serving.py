@@ -57,6 +57,47 @@ def test_worker_killed_mid_request_recovers_bit_identical(
     assert orphans == [], orphans
 
 
+def test_respawn_after_acked_churn_serves_from_replicas(
+    tmp_path, corpus, request_for, chaos_seed
+):
+    """With durable state on, acknowledged churn moves the log floor past
+    the newest snapshot; a pool respawned after a worker death must come
+    back at the live epoch, so cold requests are still answered by
+    replicas, bit-identical to a flat reference, with none found stale."""
+    reference = Mileena()
+    for relation in corpus.providers[:INITIAL]:
+        reference.register_dataset(relation)
+    platform = fresh_platform(corpus)
+    config = GatewayConfig(
+        max_workers=2,
+        process_workers=1,
+        backend="process",
+        snapshot_dir=str(tmp_path),
+        snapshot_every_mutations=64,
+    )
+    extra = corpus.providers[INITIAL:]
+    cold = [replace(request_for, time_budget_seconds=600.0 + i) for i in range(4)]
+    plan = FaultPlan(seed=chaos_seed).crash("replica.dispatch", on_hit=1)
+    served, expected = [], []
+    with Gateway(platform, config) as gateway:
+        for relation in extra[:4]:
+            platform.register_dataset(relation)
+            reference.register_dataset(relation)
+            served.append(gateway.run_many([request_for])[0])
+            expected.append(result_identity(reference.search(request_for)))
+        with armed(plan) as injector:
+            served.append(gateway.run_many(cold[:1])[0])
+        served.extend(gateway.run_many([request])[0] for request in cold[1:])
+    expected.extend([expected[-1]] * len(cold))
+    assert injector.fired == [("replica.dispatch", 1, "crash")]
+    for response, identity in zip(served, expected, strict=True):
+        assert response.ok, response.error
+        assert result_identity(response.result) == identity
+    assert gateway.metrics.counter_value("faults.replica_restarts") >= 1
+    assert gateway.metrics.counter_value("gateway.backend.process.stale_replicas") == 0
+    assert gateway.metrics.counter_value("faults.local_fallbacks") == 0
+
+
 def test_transient_compute_fault_is_retried(corpus, request_for, chaos_seed):
     """An injected transient exception on the first attempt: the retry
     policy backs off (within budget) and the second attempt answers."""

@@ -3,7 +3,6 @@
 import json
 import random
 import threading
-import time
 
 import pytest
 
@@ -98,7 +97,7 @@ class TestTracerRetention:
     def test_slow_trace_retained_even_when_unsampled(self):
         tracer = Tracer(sample_rate=0.0, slow_threshold_seconds=0.0)
         with tracer.trace("request"):
-            time.sleep(0.001)
+            pass
         [trace] = tracer.buffer.snapshot()
         assert trace.slow and not trace.sampled
 

@@ -245,9 +245,6 @@ def test_follower_deadline_does_not_cancel_leader():
     class _StubCorpus:
         epoch = 0
 
-        def registration_snapshot(self):
-            return 0, {}
-
     class BlockingPlatform:
         def __init__(self):
             self.clock = WallClock()

@@ -1,18 +1,24 @@
 """Process-backend durability: snapshot bootstrap and bounded mutation logs.
 
-The acceptance bar for the durable-state subsystem: a replica bootstrapped
-from snapshot + WAL tail returns byte-identical results to the live
-platform, and the per-envelope mutation log stays bounded (≤ the snapshot
+The acceptance bar for the durable-state subsystem: a replica restored
+from snapshot sections (at start, at respawn, or from the snapshot file
+after a gap) plus the envelope tail returns byte-identical results to the
+live platform, and the per-envelope mutation log stays bounded (≤ the snapshot
 cadence with durability on; pruned to unacknowledged entries with it off)
 under sustained register/unregister churn — the log can never again grow
 without bound.
 """
 
+import pickle
+
 import pytest
 
 from repro.core import Mileena, SearchRequest
 from repro.datasets import CorpusSpec, generate_corpus
+from repro.discovery.index import DiscoveryIndex
 from repro.serving import Gateway, GatewayConfig
+from repro.serving.backends import PlatformReplica, platform_spec
+from repro.serving.sharded import ShardedDiscoveryIndex
 
 _SPEC = CorpusSpec(num_datasets=14, requester_rows=110, provider_rows=110, seed=7)
 _INITIAL = 8
@@ -69,9 +75,10 @@ def result_identity(result):
 
 
 def test_snapshot_bootstrap_is_byte_identical(tmp_path, corpus, request_for):
-    """Replicas warm-started from the snapshot file (registrations never
-    cross the spec pickle) must match the sequential oracle exactly —
-    including DP-randomised sketches, which only survive via the file."""
+    """Replicas restored from the live platform's snapshot sections must
+    match the sequential oracle exactly — including DP-randomised sketches,
+    which ride along verbatim and are never rebuilt — and starting the
+    gateway writes no snapshot file."""
     oracle = fresh_platform(corpus)
     for index, relation in enumerate(corpus.providers[:3]):
         oracle.corpus.remove(relation.name)
@@ -96,13 +103,47 @@ def test_snapshot_bootstrap_is_byte_identical(tmp_path, corpus, request_for):
         snapshot_every_mutations=4,
     )
     with Gateway(platform, config) as gateway:
-        # The spec shipped a snapshot ref instead of pickled registrations.
-        assert gateway.backend._pending_snapshot is not None
+        # No start-time refresh: the replicas restored from captured
+        # sections, not from a freshly written file.
+        assert gateway.metrics.counter_value("persist.snapshots") == 0
         response = gateway.run_many([request_for])[0]
     assert response.ok, response.error
     assert result_identity(response.result) == expected
     # Served by the replica at the admitted epoch, not by parent fallback.
     assert gateway.metrics.counter("gateway.backend.process.stale_replicas").value == 0
+
+
+def test_replica_replays_profiles_instead_of_reprofiling(
+    corpus, request_for, monkeypatch
+):
+    """The one bootstrap path: a replica built from a pickled spec (what
+    the ``spawn`` start method ships) replays the parent's discovery
+    profiles without re-profiling a single relation, and searches
+    bit-identically to the live platform — DP-randomised sketches
+    included."""
+    platform = fresh_platform(corpus)
+    for relation in corpus.providers[:3]:
+        platform.corpus.remove(relation.name)
+        platform.register_dataset(relation, epsilon=2.0)
+    expected = result_identity(platform.search(request_for))
+    with Gateway(platform, GatewayConfig(max_workers=1)) as gateway:
+        spec = pickle.loads(pickle.dumps(platform_spec(gateway)))
+
+    registered = []
+
+    def counting(register):
+        def wrapped(index, relation):
+            registered.append(relation.name)
+            return register(index, relation)
+
+        return wrapped
+
+    for index_class in (DiscoveryIndex, ShardedDiscoveryIndex):
+        monkeypatch.setattr(index_class, "register", counting(index_class.register))
+    replica = PlatformReplica(spec)
+    assert registered == []
+    assert replica.parent_epoch == platform.corpus.epoch
+    assert result_identity(replica.platform.search(request_for)) == expected
 
 
 def test_envelope_log_bounded_by_cadence_under_churn(tmp_path, corpus, request_for):
