@@ -21,7 +21,12 @@ from repro.core.augmentation import (
     AugmentationStep,
 )
 from repro.core.clock import BudgetTimer, WallClock
-from repro.core.proxy import AugmentationState, SketchProxyModel
+from repro.core.proxy import (
+    STACK_CELLS,
+    AugmentationState,
+    SketchProxyModel,
+    trial_elements,
+)
 from repro.exceptions import SketchError
 from repro.sketches.sketch import RelationSketch
 from repro.sketches.store import SketchStoreLike
@@ -51,7 +56,16 @@ class GreedySketchSearch:
         min_improvement: float = 1e-3,
         time_budget_seconds: float | None = None,
     ) -> tuple[AugmentationPlan, AugmentationState]:
-        """Run the greedy search and return the accepted plan and final state."""
+        """Run the greedy search and return the accepted plan and final state.
+
+        Each round derives one trial state per remaining candidate, then
+        scores the trials in order as stacked chunks (at most
+        :data:`~repro.core.proxy.STACK_CELLS` cells of stacked join
+        statistics each): :func:`~repro.core.proxy.trial_elements` and one
+        ``proxy.evaluate_many`` call per chunk.  The time budget is checked
+        before each chunk, so a round stops at chunk granularity rather
+        than after any single candidate.
+        """
         timer = BudgetTimer(self.clock, time_budget_seconds)
         target = state.target
         base = self.proxy.evaluate(state.train_element(), state.test_element(), target)
@@ -60,13 +74,27 @@ class GreedySketchSearch:
         remaining = list(candidates)
 
         while remaining and len(plan) < max_augmentations and not timer.expired():
-            evaluations: list[CandidateEvaluation] = []
+            trials = []
             for candidate in remaining:
+                trial = self._trial(state, candidate)
+                if trial is not None:
+                    trials.append((candidate, trial))
+            evaluations: list[CandidateEvaluation] = []
+            for chunk in _chunks(trials):
                 if timer.expired():
                     break
-                utility = self._try_candidate(state, candidate)
-                if utility is not None:
-                    evaluations.append(CandidateEvaluation(candidate, utility))
+                pairs = trial_elements([trial for _, trial in chunk])
+                scorable = [
+                    (candidate, pair)
+                    for (candidate, _), pair in zip(chunk, pairs)
+                    if pair is not None
+                ]
+                scores = self.proxy.evaluate_many([pair for _, pair in scorable], target)
+                evaluations.extend(
+                    CandidateEvaluation(candidate, score.utility)
+                    for (candidate, _), score in zip(scorable, scores)
+                    if score is not None
+                )
             if not evaluations:
                 break
             best = max(evaluations, key=lambda evaluation: evaluation.utility)
@@ -80,42 +108,48 @@ class GreedySketchSearch:
             remaining = [c for c in remaining if c is not best.candidate]
         return plan, state
 
-    def evaluate_candidate(
-        self, state: AugmentationState, candidate: AugmentationCandidate
-    ) -> float | None:
-        """Public wrapper around candidate scoring (used by benchmarks)."""
-        return self._try_candidate(state, candidate)
-
     # -- internals ---------------------------------------------------------------
     def _sketch(self, candidate: AugmentationCandidate) -> RelationSketch | None:
         if candidate.dataset not in self.store:
             return None
         return self.store.get(candidate.dataset)
 
-    def _try_candidate(
+    def _trial(
         self, state: AugmentationState, candidate: AugmentationCandidate
-    ) -> float | None:
+    ) -> AugmentationState | None:
+        """``state`` with ``candidate`` applied; None when it cannot be."""
         sketch = self._sketch(candidate)
-        if sketch is None:
+        if sketch is None or candidate.kind not in (JOIN, UNION):
             return None
         try:
-            if candidate.kind == UNION:
-                trial = state.with_union(sketch)
-            elif candidate.kind == JOIN:
-                trial = state.with_join(candidate.join_key, sketch)
-            else:
-                return None
-            score = self.proxy.evaluate(
-                trial.train_element(), trial.test_element(), state.target
-            )
+            return self._derive(state, candidate, sketch)
         except SketchError:
             return None
-        return score.utility
 
     def _apply(
         self, state: AugmentationState, candidate: AugmentationCandidate
     ) -> AugmentationState:
-        sketch = self._sketch(candidate)
+        return self._derive(state, candidate, self._sketch(candidate))
+
+    @staticmethod
+    def _derive(
+        state: AugmentationState, candidate: AugmentationCandidate, sketch: RelationSketch
+    ) -> AugmentationState:
         if candidate.kind == UNION:
-            return state.with_union(sketch)
+            return state.with_union(sketch, candidate.column_mapping)
         return state.with_join(candidate.join_key, sketch)
+
+
+def _chunks(trials: list[tuple[AugmentationCandidate, AugmentationState]]):
+    """``trials`` in order, cut where the stacked cells would pass ``STACK_CELLS``."""
+    chunk: list[tuple[AugmentationCandidate, AugmentationState]] = []
+    cells = 0
+    for item in trials:
+        size = item[1].stacked_cells()
+        if chunk and cells + size > STACK_CELLS:
+            yield chunk
+            chunk, cells = [], 0
+        chunk.append(item)
+        cells += size
+    if chunk:
+        yield chunk

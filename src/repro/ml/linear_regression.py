@@ -140,14 +140,31 @@ class LinearRegression:
             return 0.0 if sse <= 1e-12 else float("-inf")
         return 1.0 - sse / sst
 
-    # -- internals ---------------------------------------------------------------
-    def _solve(self, gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
-        penalty = self.ridge * np.eye(gram.shape[0])
-        penalty[0, 0] = 0.0  # never penalise the intercept
+    def solve_many(self, grams: np.ndarray, moments: np.ndarray) -> np.ndarray:
+        """``θ`` for a stack of normal equations ``(C, n, n)`` / ``(C, n)``.
+
+        One batched LAPACK solve, equal per system to a lone ``solve``; when
+        any system is singular every system takes the scalar path instead,
+        so the singular ones get its ``lstsq`` fallback.
+        """
+        systems = grams + self._penalty(grams.shape[-1])
         try:
-            return np.linalg.solve(gram + penalty, moment)
+            return np.linalg.solve(systems, moments[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            return np.linalg.lstsq(gram + penalty, moment, rcond=None)[0]
+            return np.stack([self._solve(gram, moment) for gram, moment in zip(grams, moments)])
+
+    # -- internals ---------------------------------------------------------------
+    def _penalty(self, size: int) -> np.ndarray:
+        penalty = self.ridge * np.eye(size)
+        penalty[0, 0] = 0.0  # never penalise the intercept
+        return penalty
+
+    def _solve(self, gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
+        system = gram + self._penalty(gram.shape[0])
+        try:
+            return np.linalg.solve(system, moment)
+        except np.linalg.LinAlgError:
+            return np.linalg.lstsq(system, moment, rcond=None)[0]
 
     @property
     def coefficients(self) -> np.ndarray:

@@ -9,9 +9,11 @@ out of the LRU naturally.
 
 :class:`CachingProxy` wraps a :class:`repro.core.proxy.SketchProxyModel`
 and memoises proxy-score evaluations by the fingerprints of the train/test
-covariance elements.  During the greedy search the same (state, candidate)
-pairs are re-evaluated across requests that share a requester relation;
-memoisation turns those repeats into dictionary lookups.
+covariance elements, one lookup per pair whether the search scores a
+round in one ``evaluate_many`` call or a single pair with ``evaluate``.
+During the greedy search the same (state, candidate) pairs are
+re-evaluated across requests that share a requester relation; memoisation
+turns those repeats into dictionary lookups.
 
 :class:`SingleFlight` is the in-flight companion to the cache: keyed leader
 election so that concurrent identical requests are *coalesced* — the first
@@ -155,10 +157,14 @@ class SingleFlight:
 
 
 class CachingProxy:
-    """Memoises ``SketchProxyModel.evaluate`` by covariance-element content.
+    """Memoises proxy scores by covariance-element content.
 
-    Drop-in for the proxy protocol used by the greedy search: anything with
-    ``evaluate(train_element, test_element, target) -> ProxyScore``.
+    Drop-in for the proxy protocol used by the greedy search:
+    ``evaluate_many(pairs, target) -> list[ProxyScore | None]`` over
+    ``(train_element, test_element)`` pairs, and ``evaluate(train_element,
+    test_element, target) -> ProxyScore`` for one pair.  Both look each pair
+    up once; ``evaluate_many`` hands all of its misses to the inner proxy in
+    one call.  A pair that cannot be scored is not cached.
     """
 
     def __init__(
@@ -174,12 +180,39 @@ class CachingProxy:
         )
 
     def evaluate(self, train_element, test_element, target: str):
-        # One 16-byte digest per entry: the cache fills to capacity on
-        # workloads that rarely repeat, so the key's size is its footprint.
-        fingerprints = element_fingerprint(train_element) + element_fingerprint(test_element)
-        key = hashlib.blake2b(
-            (fingerprints + target).encode("utf-8"), digest_size=16
-        ).digest()
         return self.cache.get_or_compute(
-            key, lambda: self.inner.evaluate(train_element, test_element, target)
+            _proxy_key(train_element, test_element, target),
+            lambda: self.inner.evaluate(train_element, test_element, target),
         )
+
+    def evaluate_many(self, pairs, target: str) -> list:
+        keys = [_proxy_key(train, test, target) for train, test in pairs]
+        results: list = [None] * len(pairs)
+        missed: dict[bytes, int] = {}
+        repeats: list[int] = []
+        for index, key in enumerate(keys):
+            if key in missed:
+                # Looked up after the batch is stored, where a one-by-one
+                # lookup would have found the first copy's entry.
+                repeats.append(index)
+                continue
+            value = self.cache.get(key, _MISSING)
+            if value is _MISSING:
+                missed[key] = index
+            else:
+                results[index] = value
+        scores = self.inner.evaluate_many([pairs[index] for index in missed.values()], target)
+        for index, score in zip(missed.values(), scores):
+            results[index] = score
+            if score is not None:
+                self.cache.put(keys[index], score)
+        for index in repeats:
+            results[index] = self.cache.get(keys[index], results[missed[keys[index]]])
+        return results
+
+
+def _proxy_key(train_element, test_element, target: str) -> bytes:
+    # One 16-byte digest per entry: the cache fills to capacity on
+    # workloads that rarely repeat, so the key's size is its footprint.
+    fingerprints = element_fingerprint(train_element) + element_fingerprint(test_element)
+    return hashlib.blake2b((fingerprints + target).encode("utf-8"), digest_size=16).digest()

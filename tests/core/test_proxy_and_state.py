@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import AugmentationState, SketchProxyModel
-from repro.core.proxy import _combine_branches
+from repro.core.proxy import _combine_branches, _Stack
 from repro.exceptions import SketchError
 from repro.ml import LinearRegression, r2_score
 from repro.privacy import FactorizedPrivacyMechanism, PrivacyBudget
@@ -171,10 +171,71 @@ def test_multi_key_branches_combine():
 
 
 # -- packed join chain vs the scalar oracle -------------------------------------------
-def oracle_element(state, split):
-    """The scalar chain: ``vertical_augment`` left folds, a ``+`` collapse, branches."""
-    total = state.train_total if split == "train" else state.test_total
-    keyed = state.train_keyed if split == "train" else state.test_keyed
+def scalar_combine_branches(base, branches):
+    """The per-feature loop the stacked ``_combine_branches`` reproduces bit for bit."""
+    features = list(base.features)
+    origin = {}
+    for index, branch in enumerate(branches):
+        for feature in branch.features:
+            if feature not in features:
+                features.append(feature)
+                origin[feature] = index
+    count = base.count
+    if count <= 0:
+        raise SketchError("cannot combine branches over an empty base")
+    sums = np.zeros(len(features))
+    products = np.zeros((len(features), len(features)))
+    position = {name: i for i, name in enumerate(features)}
+    for i, a in enumerate(base.features):
+        sums[position[a]] = base.sums[i]
+        for j, b in enumerate(base.features):
+            products[position[a], position[b]] = base.products[i, j]
+    for index, branch in enumerate(branches):
+        scale = count / branch.count if branch.count > 0 else 0.0
+        for a in branch.features:
+            if a in base.features:
+                continue
+            sums[position[a]] = branch.sum_of(a) * scale
+            for b in branch.features:
+                if b in base.features or origin.get(b) == index or b == a:
+                    value = branch.product_of(a, b) * scale
+                    products[position[a], position[b]] = value
+                    products[position[b], position[a]] = value
+        for a in branch.features:
+            if a in base.features:
+                continue
+            for b in base.features:
+                if b in branch.features:
+                    value = branch.product_of(a, b) * scale
+                    products[position[a], position[b]] = value
+                    products[position[b], position[a]] = value
+    for a, index_a in origin.items():
+        for b, index_b in origin.items():
+            if index_a == index_b or a == b:
+                continue
+            products[position[a], position[b]] = sums[position[a]] * sums[position[b]] / count
+    return CovarianceElement(tuple(features), count, sums, products)
+
+
+def oracle_element(state, split, requester, unions=()):
+    """The scalar chain: unions replayed with ``project`` + ``+`` into per-key dicts,
+    then ``vertical_augment`` left folds, a ``+`` collapse, branches."""
+    train, test = requester
+    sketch = train if split == "train" else test
+    total = sketch.total
+    keyed = {key: dict(groups) for key, groups in sketch.keyed.items()}
+    if split == "train":
+        for union in unions:
+            total = total + union.total.project(train.total.features)
+            for key, groups in union.keyed.items():
+                if key not in keyed:
+                    continue
+                for value, element in groups.items():
+                    projected = element.project(train.total.features)
+                    if value in keyed[key]:
+                        keyed[key][value] = keyed[key][value] + projected
+                    else:
+                        keyed[key][value] = projected
     branches = []
     for key, sketches in state.accepted_joins.items():
         merged = keyed[key]
@@ -188,12 +249,12 @@ def oracle_element(state, split):
         branches.append(collapsed)
     if not branches:
         return total
-    return branches[0] if len(branches) == 1 else _combine_branches(total, branches)
+    return branches[0] if len(branches) == 1 else scalar_combine_branches(total, branches)
 
 
-def assert_bit_identical(state):
+def assert_bit_identical(state, requester, unions=()):
     for split, element in (("train", state.train_element()), ("test", state.test_element())):
-        expected = oracle_element(state, split)
+        expected = oracle_element(state, split, requester, unions)
         assert element.features == expected.features
         assert np.float64(element.count).tobytes() == np.float64(expected.count).tobytes()
         assert element.sums.tobytes() == expected.sums.tobytes()
@@ -242,15 +303,18 @@ def test_packed_chain_matches_scalar_oracle(num_keys, private):
         groups = random_groups(rng, provider_keys(rng, keys), (feature,))
         return make_sketch(name, (feature,), {"zone": groups}, rng, private)
 
-    state = AugmentationState.from_sketches("y", requester_sketch("train"), requester_sketch("test"))
+    own = (requester_sketch("train"), requester_sketch("test"))
+    state = AugmentationState.from_sketches("y", *own)
     first = provider("p1", "a")
     second = provider("p2", "b")
-    assert_bit_identical(state.with_join("zone", first))
+    assert_bit_identical(state.with_join("zone", first), own)
     # Two sketches accepted on one key, and every trial on top of the memoised prefix.
     accepted = state.with_join("zone", first)
     for candidate in (second, provider("p3", "c")):
-        assert_bit_identical(accepted.with_join("zone", candidate))
-    assert_bit_identical(accepted.with_join("zone", second).with_join("zone", provider("p4", "d")))
+        assert_bit_identical(accepted.with_join("zone", candidate), own)
+    assert_bit_identical(
+        accepted.with_join("zone", second).with_join("zone", provider("p4", "d")), own
+    )
 
 
 def test_packed_join_keeps_signed_zeros():
@@ -272,7 +336,7 @@ def test_packed_join_keeps_signed_zeros():
     negative[keys[0]] = CovarianceElement(("neg",), 2.0, np.array([-0.0]), np.array([[-0.0]]))
     partner = make_sketch("neg", ("neg",), {"zone": negative}, rng)
     state = AugmentationState.from_sketches("y", train, test).with_join("zone", partner)
-    assert_bit_identical(state)
+    assert_bit_identical(state, (train, test))
     products = state.train_element().products
     assert not np.signbit(products[0, 2]) and not np.signbit(products[2, 0])
 
@@ -294,17 +358,22 @@ def test_packed_chain_matches_oracle_across_keys_and_unions():
         groups = random_groups(rng, provider_keys(rng, values), (feature,))
         return make_sketch(name, (feature,), {key: groups}, rng)
 
-    state = AugmentationState.from_sketches("y", requester_sketch("train"), requester_sketch("test"))
+    own = (requester_sketch("train"), requester_sketch("test"))
+    state = AugmentationState.from_sketches("y", *own)
     zone_state = state.with_join("zone", provider("zp", "zlat", "zone", zones))
     both = zone_state.with_join("month", provider("mp", "mlat", "month", months))
-    assert_bit_identical(both)
-    assert_bit_identical(both.with_join("zone", provider("zp2", "zlat2", "zone", zones)))
+    assert_bit_identical(both, own)
+    assert_bit_identical(both.with_join("zone", provider("zp2", "zlat2", "zone", zones)), own)
     # A union replaces the train-side keyed statistics; joins after it still agree.
     extra = requester_sketch("more")
     unioned = zone_state.with_union(extra)
-    assert_bit_identical(unioned)
-    assert_bit_identical(unioned.with_join("zone", provider("zp3", "zlat3", "zone", zones)))
-    assert_bit_identical(unioned.with_join("month", provider("mp2", "mlat2", "month", months)))
+    assert_bit_identical(unioned, own, [extra])
+    assert_bit_identical(
+        unioned.with_join("zone", provider("zp3", "zlat3", "zone", zones)), own, [extra]
+    )
+    assert_bit_identical(
+        unioned.with_join("month", provider("mp2", "mlat2", "month", months)), own, [extra]
+    )
 
 
 def test_empty_key_intersection_raises_like_the_oracle():
@@ -316,7 +385,35 @@ def test_empty_key_intersection_raises_like_the_oracle():
     state = AugmentationState.from_sketches("y", train, test).with_join("zone", disjoint)
     for split, element in (("train", state.train_element), ("test", state.test_element)):
         with pytest.raises(SketchError) as oracle_error:
-            oracle_element(state, split)
+            oracle_element(state, split, (train, test))
         with pytest.raises(SketchError) as packed_error:
             element()
         assert str(packed_error.value) == str(oracle_error.value)
+
+
+def test_stacked_combine_matches_the_per_feature_loop():
+    """Asymmetric branch products pin which triangle each provider cell comes from."""
+    rng = np.random.default_rng(5)
+
+    def element(features, count):
+        size = len(features)
+        return CovarianceElement(
+            features, count, rng.normal(size=size), rng.normal(size=(size, size))
+        )
+
+    base = element(("local", "y"), 40.0)
+    rows = [element(("y", "local", "a1", "a2", "a3"), count) for count in (30.0, 0.0, 12.5)]
+    other = element(("local", "y", "b1", "b2"), 25.0)
+    combined = _combine_branches(
+        base,
+        [
+            ([row.features for row in rows], _Stack.of(rows)),
+            ([other.features], _Stack.of([other])),
+        ],
+    )
+    for row, got in zip(rows, combined):
+        want = scalar_combine_branches(base, [row, other])
+        assert got.features == want.features
+        assert got.count == want.count
+        assert got.sums.tobytes() == want.sums.tobytes()
+        assert got.products.tobytes() == want.products.tobytes()

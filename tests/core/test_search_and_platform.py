@@ -10,6 +10,7 @@ from repro.core import (
     JOIN,
     Mileena,
     MileenaAutoMLService,
+    Requester,
     SearchRequest,
     SimulatedClock,
     UNION,
@@ -17,7 +18,7 @@ from repro.core import (
     reduce_to_key,
 )
 from repro.datasets import CorpusSpec, generate_corpus
-from repro.exceptions import SearchError
+from repro.exceptions import SearchError, SketchError
 from repro.relational import KEY, NUMERIC, Relation, Schema
 from repro.sketches import SketchBuilder, SketchStore
 
@@ -146,6 +147,10 @@ def test_search_respects_time_budget(small_corpus):
             self.clock.advance(self.cost)
             return self.inner.evaluate(train_element, test_element, target)
 
+        def evaluate_many(self, pairs, target):
+            self.clock.advance(self.cost * len(pairs))
+            return self.inner.evaluate_many(pairs, target)
+
     platform = Mileena(clock=clock)
     for relation in small_corpus.providers:
         platform.register_dataset(relation)
@@ -250,3 +255,45 @@ def test_corpus_add_many_is_atomic_on_duplicates(small_corpus):
     assert len(corpus) == 0
     assert len(corpus.discovery) == 0
     assert corpus.epoch == 0
+
+
+def test_union_candidates_follow_their_column_mapping():
+    """A renamed copy of the requester is a union candidate with a renaming
+    mapping; its sketch must be renamed through it before it is unioned."""
+    corpus = generate_corpus(CorpusSpec(num_datasets=20, seed=3))
+    names = corpus.train.schema.names
+    platform = Mileena()
+    for relation in corpus.providers:
+        platform.register_dataset(relation)
+    platform.register_dataset(corpus.train.renamed("requester_plain"))
+    platform.register_dataset(
+        corpus.train.rename({name: f"{name}_x" for name in names}).renamed("requester_renamed")
+    )
+    request = make_request(corpus)
+    unions = {
+        candidate.dataset: candidate
+        for candidate in platform.discover_candidates(request)
+        if candidate.kind == UNION
+    }
+    renamed = unions["requester_renamed"]
+    assert dict(renamed.column_mapping)["local_a"] == "local_a_x"
+    result = platform.search(request)
+    assert result.final_report is not None
+
+    sketches = Requester("requester", builder=platform.builder).build_sketches(request)
+    state = AugmentationState.from_sketches(request.target, sketches.train, sketches.test)
+    store = platform.corpus.sketches
+    via_mapping = state.with_union(store.get("requester_renamed"), renamed.column_mapping)
+    plain = state.with_union(
+        store.get("requester_plain"), unions["requester_plain"].column_mapping
+    )
+    got, want = via_mapping.train_element(), plain.train_element()
+    assert got.features == want.features and got.count == want.count
+    assert got.products.tobytes() == want.products.tobytes()
+    renamed_block, plain_block = via_mapping.train_keyed["zone"], plain.train_keyed["zone"]
+    assert renamed_block.keys == plain_block.keys
+    assert renamed_block.products.tobytes() == plain_block.products.tobytes()
+    # A mapping that leaves a requester feature unmatched makes the union unusable.
+    partial = tuple(pair for pair in renamed.column_mapping if pair[0] != "local_b")
+    with pytest.raises(SketchError):
+        state.with_union(store.get("requester_renamed"), partial)

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.core import SketchProxyModel
+from repro.exceptions import SketchError
 from repro.relational import KEY, NUMERIC, Relation, Schema
 from repro.semiring.covariance import CovarianceElement
 from repro.serving import (
@@ -184,6 +185,10 @@ class CountingProxy:
         self.calls += 1
         return self.inner.evaluate(train_element, test_element, target)
 
+    def evaluate_many(self, pairs, target):
+        self.calls += len(pairs)
+        return self.inner.evaluate_many(pairs, target)
+
 
 def test_caching_proxy_memoises_identical_elements():
     import numpy as np
@@ -201,6 +206,42 @@ def test_caching_proxy_memoises_identical_elements():
     other = CovarianceElement.from_matrix(("x", "y"), rows * 2.0)
     proxy.evaluate(other, other, "y")
     assert counting.calls == 2
+
+
+def test_caching_proxy_batch_looks_up_like_one_pair_at_a_time():
+    """One lookup per pair, repeats inside a batch included, and the same
+    hit/miss totals and scores as calling ``evaluate`` pair by pair."""
+    import numpy as np
+
+    rows = np.array([[1.0, 2.0], [2.0, 3.0], [3.0, 5.0], [4.0, 6.5]])
+    first = CovarianceElement.from_matrix(("x", "y"), rows)
+    second = CovarianceElement.from_matrix(("x", "y"), rows * 2.0)
+    unscorable = CovarianceElement.from_matrix(("z", "y"), rows)
+    pairs = [
+        (first, first),
+        (second, first),
+        (first, first),
+        (unscorable, first),
+        (unscorable, first),
+        (second, first),
+    ]
+    one_by_one = CachingProxy(SketchProxyModel())
+    expected = []
+    for train, test in pairs:
+        try:
+            expected.append(one_by_one.evaluate(train, test, "y"))
+        except SketchError:
+            expected.append(None)
+    counting = CountingProxy()
+    batched = CachingProxy(counting)
+    scores = batched.evaluate_many(pairs, "y")
+    assert scores == expected
+    assert scores[0] is scores[2] and scores[3] is None
+    assert counting.calls == 3
+    assert batched.cache.stats.hits == one_by_one.cache.stats.hits == 2
+    assert batched.cache.stats.misses == one_by_one.cache.stats.misses == 4
+    assert batched.evaluate_many(pairs[:2], "y") == expected[:2]
+    assert counting.calls == 3
 
 
 def test_caching_proxy_keys_entries_by_one_content_digest():
