@@ -1,18 +1,10 @@
-"""Discovery engine latency: scalar vs vectorized vs (adaptive) LSH.
+"""Discovery engine latency: scalar reference vs vectorized engine.
 
 Measures ``join_candidates`` / ``union_candidates`` latency against
-corpora of 100 / 1000 / 5000 registered datasets for four engine modes
-(scalar reference, exact vectorized, fixed-band LSH, adaptive multi-probe
-LSH), checks result parity between the scalar reference and the exact
-vectorized path, measures the LSH modes' *join recall* against the exact
-results over a batch of queries, and writes everything to
-``BENCH_discovery.json`` so the perf trajectory has durable data points.
-
-The adaptive mode derives its band count from ``--target-recall`` at the
-join threshold (S-curve + multi-probe; see
-:func:`repro.discovery.engine.adaptive_lsh_bands`), and
-``benchmarks/check_regression.py`` fails CI when a measured recall drops
-below the configured target.
+corpora of 100 / 1000 / 5000 registered datasets for both engine modes
+(scalar reference and vectorized), checks result parity between them,
+and writes everything to ``BENCH_discovery.json`` so the perf trajectory
+has durable data points.
 
 Run standalone::
 
@@ -27,68 +19,21 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from _corpus import NUM_ROWS, build_corpus, make_relation, timed  # noqa: E402
+from _corpus import NUM_ROWS, build_corpus, timed  # noqa: E402
 from repro.discovery import DiscoveryIndex, profile_relation  # noqa: E402
 
-TARGET_RECALL = 0.95
-NUM_RECALL_QUERIES = 20
 
-
-def measure_join_recall(
-    modes: dict[str, DiscoveryIndex], num_queries: int, seed: int
-) -> dict[str, float]:
-    """Micro-averaged dataset-level join recall of the LSH modes.
-
-    The exact vectorized index provides ground truth (it is parity-checked
-    against the scalar oracle elsewhere in this benchmark); recall is the
-    fraction of its (query, dataset) join hits each LSH mode also returns,
-    pooled over ``num_queries`` queries spread across key domains.
-    """
-    rng = random.Random(seed + 1)
-    found = {mode: 0 for mode in ("lsh", "adaptive")}
-    total = 0
-    for index in range(num_queries):
-        query = make_relation(f"recall_q{index}", rng, f"dom{index % 8}")
-        profiles = {
-            mode: profile_relation(query, modes[mode].minhasher)
-            for mode in ("vectorized", "lsh", "adaptive")
-        }
-        exact = {
-            candidate.dataset
-            for candidate in modes["vectorized"].join_candidates_for_profile(
-                profiles["vectorized"]
-            )
-        }
-        total += len(exact)
-        for mode in ("lsh", "adaptive"):
-            hits = {
-                candidate.dataset
-                for candidate in modes[mode].join_candidates_for_profile(profiles[mode])
-            }
-            found[mode] += len(exact & hits)
-    return {mode: (found[mode] / total if total else 1.0) for mode in found}
-
-
-def bench_size(num_datasets: int, repeats: int, seed: int, target_recall: float) -> dict:
+def bench_size(num_datasets: int, repeats: int, seed: int) -> dict:
     relations, query = build_corpus(num_datasets, seed)
     modes = {
         "scalar": DiscoveryIndex(vectorized=False, join_threshold=0.2, union_threshold=0.3),
         "vectorized": DiscoveryIndex(join_threshold=0.2, union_threshold=0.3),
-        "lsh": DiscoveryIndex(use_lsh=True, join_threshold=0.2, union_threshold=0.3),
-        "adaptive": DiscoveryIndex(
-            use_lsh=True,
-            target_recall=target_recall,
-            multi_probe=True,
-            join_threshold=0.2,
-            union_threshold=0.3,
-        ),
     }
     register_ms = {}
     for mode, index in modes.items():
@@ -113,12 +58,8 @@ def bench_size(num_datasets: int, repeats: int, seed: int, target_recall: float)
         return index.union_candidates_for_profile(profile)
 
     join_ms = {mode: timed(lambda m=mode: join(m), repeats) for mode in modes}
-    union_ms = {
-        mode: timed(lambda m=mode: union(m), repeats)
-        for mode in ("scalar", "vectorized")
-    }
+    union_ms = {mode: timed(lambda m=mode: union(m), repeats) for mode in modes}
     parity = join("scalar") == join("vectorized") and union("scalar") == union("vectorized")
-    recall = measure_join_recall(modes, NUM_RECALL_QUERIES, seed)
     result = {
         "datasets": num_datasets,
         "join_hits": len(join("scalar")),
@@ -127,16 +68,8 @@ def bench_size(num_datasets: int, repeats: int, seed: int, target_recall: float)
         "union_ms": {k: round(v, 4) for k, v in union_ms.items()},
         "speedup": {
             "join_vectorized": round(join_ms["scalar"] / join_ms["vectorized"], 2),
-            "join_lsh": round(join_ms["scalar"] / join_ms["lsh"], 2),
-            "join_adaptive": round(join_ms["scalar"] / join_ms["adaptive"], 2),
             "union_vectorized": round(union_ms["scalar"] / union_ms["vectorized"], 2),
         },
-        "join_recall": {
-            "lsh": round(recall["lsh"], 4),
-            "adaptive": round(recall["adaptive"], 4),
-            "adaptive_target": target_recall,
-        },
-        "adaptive_bands": modes["adaptive"].lsh_bands,
         "parity": parity,
     }
     return result
@@ -147,7 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[100, 1000, 5000])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--target-recall", type=float, default=TARGET_RECALL)
     parser.add_argument(
         "--out", type=Path, default=Path(__file__).resolve().parent.parent / "BENCH_discovery.json"
     )
@@ -156,10 +88,6 @@ def main(argv: list[str] | None = None) -> int:
         "benchmark": "discovery_engine",
         "config": {
             "num_hashes": 64,
-            "lsh_bands": 32,
-            "target_recall": args.target_recall,
-            "multi_probe": True,
-            "recall_queries": NUM_RECALL_QUERIES,
             "join_threshold": 0.2,
             "union_threshold": 0.3,
             "rows_per_dataset": NUM_ROWS,
@@ -169,22 +97,14 @@ def main(argv: list[str] | None = None) -> int:
     }
     ok = True
     for size in args.sizes:
-        result = bench_size(size, args.repeats, args.seed, args.target_recall)
+        result = bench_size(size, args.repeats, args.seed)
         report["results"].append(result)
         ok = ok and result["parity"]
-        recall = result["join_recall"]
         print(
             f"{size:>6} datasets | join scalar {result['join_ms']['scalar']:9.2f}ms"
             f"  vectorized {result['join_ms']['vectorized']:8.3f}ms"
             f" ({result['speedup']['join_vectorized']:6.1f}x)"
-            f"  lsh {result['join_ms']['lsh']:8.3f}ms"
-            f" ({result['speedup']['join_lsh']:6.1f}x)"
-            f"  adaptive {result['join_ms']['adaptive']:8.3f}ms"
-            f" ({result['speedup']['join_adaptive']:6.1f}x,"
-            f" {result['adaptive_bands']} bands)"
             f" | union {result['speedup']['union_vectorized']:5.1f}x"
-            f" | recall lsh {recall['lsh']:.3f}"
-            f" adaptive {recall['adaptive']:.3f} (target {recall['adaptive_target']})"
             f" | parity={'ok' if result['parity'] else 'FAIL'}"
         )
     args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -54,40 +54,6 @@ def discovery_ratios(report: dict) -> dict[str, float]:
     }
 
 
-def discovery_recall_failures(report: dict) -> tuple[list[str], list[str]]:
-    """Enforce the adaptive-LSH recall floor recorded by the benchmark.
-
-    Unlike the speedup ratios (compared against the committed baseline
-    with a tolerance), recall is checked against the *configured target*
-    directly.  That is safe from run-to-run flapping because the
-    benchmark is fully deterministic (seeded corpus, deterministic
-    hashing): unchanged code measures the identical recall every run.
-    The S-curve only promises ≥ target *per pair at the threshold*, so a
-    deliberate corpus change that concentrates true pairs right at the
-    threshold may need this gate (or the corpus) retuned — that is a
-    conversation to have in the PR, not noise to tolerate.
-    """
-    lines: list[str] = []
-    failures: list[str] = []
-    for row in report.get("results", []):
-        recall = row.get("join_recall")
-        if not recall or "adaptive" not in recall:
-            continue
-        target = recall.get("adaptive_target")
-        measured = recall["adaptive"]
-        status = "ok" if measured >= target else "RECALL MISS"
-        name = f"discovery[{row['datasets']}].adaptive_recall"
-        lines.append(
-            f"  {name:<48} target={target:>8.2f} measured={measured:>8.4f}  {status}"
-        )
-        if measured < target:
-            failures.append(
-                f"{name}: measured {measured:.4f} below the configured "
-                f"target {target:.2f}"
-            )
-    return lines, failures
-
-
 def persist_ratios(report: dict) -> dict[str, float]:
     """Warm-start speedups for the smallest (smoke-comparable) corpus size."""
     results = sorted(report.get("results", []), key=lambda row: row["datasets"])
@@ -299,11 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         lines, failures = compare(baseline, current, args.tolerance, enforce)
         print("\n".join(lines))
         all_failures.extend(failures)
-        if extract is discovery_ratios:
-            recall_lines, recall_failures = discovery_recall_failures(current_report)
-            if recall_lines:
-                print("\n".join(recall_lines))
-            all_failures.extend(recall_failures)
 
     if all_failures:
         print("\nBenchmark regression gate FAILED:")

@@ -74,9 +74,9 @@ class Mileena:
     def sharded(cls, num_shards: int = 4, **kwargs) -> "Mileena":
         """A platform whose sketch store and discovery index are sharded.
 
-        ``kwargs`` are :class:`Mileena` fields.  LSH is configured on the
-        index constructor (``ShardedDiscoveryIndex(use_lsh=True, ...)``),
-        the execution backend on ``GatewayConfig.backend``, and durable
+        ``kwargs`` are :class:`Mileena` fields.  Discovery thresholds are
+        set on the index constructor (``ShardedDiscoveryIndex(...)``), the
+        execution backend on ``GatewayConfig.backend``, and durable
         state with :meth:`attach_snapshots` or ``GatewayConfig.snapshot_dir``.
         """
         from repro.serving.sharded import ShardedDiscoveryIndex, ShardedSketchStore

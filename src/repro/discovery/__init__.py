@@ -8,10 +8,9 @@ Public surface, layer by layer:
   Jaccard overlap; :class:`TfIdfSketch`/:class:`IdfModel` score schema
   unionability by IDF-weighted cosine.
 * **Engine** (:mod:`repro.discovery.engine`): the packed/sparse structures
-  behind the vectorized hot path — :class:`PackedSignatureMatrix` (joins,
-  optional LSH banding with :func:`adaptive_lsh_bands`-derived band counts
-  and multi-probe near-miss lookups) and :class:`SparseTermMatrix`
-  (unions as one sparse term-matrix product).
+  behind the vectorized hot path — :class:`PackedSignatureMatrix` (joins
+  as one exact broadcast scan) and :class:`SparseTermMatrix` (unions as
+  one sparse term-matrix product).
 * **Index** (:class:`DiscoveryIndex`): ``Discover(R, augType)`` over the
   registered corpus; the scalar reference implementation is retained as
   the parity oracle for the vectorized paths.
@@ -25,8 +24,6 @@ from repro.discovery.engine import (
     PackedSignatureMatrix,
     SparseTermMatrix,
     VersionedCache,
-    adaptive_lsh_bands,
-    lsh_recall,
 )
 from repro.discovery.index import (
     JOIN,
@@ -59,6 +56,4 @@ __all__ = [
     "PackedSignatureMatrix",
     "SparseTermMatrix",
     "VersionedCache",
-    "adaptive_lsh_bands",
-    "lsh_recall",
 ]

@@ -7,15 +7,7 @@ loops.  This module holds the structures that replace those loops:
 * :class:`PackedSignatureMatrix` — every registered joinable column's
   MinHash signature as one row of a contiguous ``int64`` matrix, so a
   query's Jaccard estimates against the *whole corpus* are one broadcast
-  ``==`` / ``sum`` instead of a Python loop per pair.  Optional LSH banding
-  over the same rows prunes the candidate set sublinearly before exact
-  scoring; *multi-probe* banding additionally probes the buckets that
-  agree on all-but-one row of a band, cutting the miss rate at low
-  similarity for the same band count.
-* :func:`lsh_recall` / :func:`adaptive_lsh_bands` — the banding S-curve
-  and the band-count solver behind *adaptive* LSH: instead of hand-picking
-  ``lsh_bands``, callers name a target recall at the join threshold and
-  the index derives the cheapest ``(bands, rows)`` split that meets it.
+  ``==`` / ``sum`` instead of a Python loop per pair.
 * :class:`SparseTermMatrix` — the corpus's TF-IDF sketches as one sparse
   term matrix (term-major CSR: one posting of ``(row, count)`` pairs per
   term), so a union query's cosine numerators against *every* registered
@@ -43,78 +35,6 @@ _UNSET = object()
 
 #: dtype-compatibility codes for :meth:`SparseTermMatrix.compatible_rows`.
 _DTYPE_CODES = {"numeric": 0, "key": 1, "categorical": 2}
-
-
-def lsh_recall(
-    similarity: float, bands: int, rows: int, multi_probe: bool = False
-) -> float:
-    """Collision probability of a pair at ``similarity`` under LSH banding.
-
-    The standard S-curve: a band of ``rows`` MinHash rows collides with
-    probability ``s**rows``, and a pair is a candidate when *any* of the
-    ``bands`` bands collides.  With ``multi_probe`` the near-miss buckets
-    that agree on all but one row of a band are probed too, so a band
-    "hits" whenever at least ``rows - 1`` of its rows agree.
-
-    >>> round(lsh_recall(0.3, bands=16, rows=4), 4)
-    0.122
-    >>> round(lsh_recall(0.3, bands=16, rows=4, multi_probe=True), 4)
-    0.7531
-    >>> lsh_recall(1.0, bands=1, rows=8)
-    1.0
-    """
-    if bands <= 0 or rows <= 0:
-        raise DiscoveryError("bands and rows must be positive")
-    similarity = min(max(similarity, 0.0), 1.0)
-    p_band = similarity**rows
-    if multi_probe and rows > 1:
-        # Agreement on exactly rows-1 of the band's rows: any one row may
-        # disagree, each with probability s**(rows-1) * (1 - s).
-        p_band += rows * similarity ** (rows - 1) * (1.0 - similarity)
-    return 1.0 - (1.0 - p_band) ** bands
-
-
-def adaptive_lsh_bands(
-    num_hashes: int,
-    threshold: float,
-    target_recall: float,
-    multi_probe: bool = False,
-) -> int:
-    """Fewest bands whose S-curve recall at ``threshold`` meets ``target_recall``.
-
-    Band counts are restricted to divisors of ``num_hashes`` so every band
-    covers ``num_hashes // bands`` signature rows exactly.  Recall rises
-    monotonically with the band count (more, shorter bands = more chances
-    to collide), while cost and false-positive rate rise too — so the
-    *smallest* qualifying count is the cheapest configuration that still
-    guarantees the target at the threshold (pairs above the threshold are
-    always recalled at a higher rate; the S-curve is increasing in ``s``).
-
-    Falls back to ``num_hashes`` single-row bands — the highest-recall
-    split expressible — when no divisor reaches the target.
-
-    >>> adaptive_lsh_bands(64, threshold=0.3, target_recall=0.9)
-    32
-    >>> adaptive_lsh_bands(64, threshold=0.3, target_recall=0.99)
-    64
-    >>> adaptive_lsh_bands(64, threshold=0.3, target_recall=0.99, multi_probe=True)
-    32
-    >>> adaptive_lsh_bands(64, threshold=0.8, target_recall=0.9)
-    16
-    """
-    if num_hashes <= 0:
-        raise DiscoveryError("num_hashes must be positive")
-    if not 0.0 < target_recall <= 1.0:
-        raise DiscoveryError(
-            f"target_recall must be in (0, 1], got {target_recall}"
-        )
-    for bands in range(1, num_hashes + 1):
-        if num_hashes % bands != 0:
-            continue
-        rows = num_hashes // bands
-        if lsh_recall(threshold, bands, rows, multi_probe) >= target_recall:
-            return bands
-    return num_hashes
 
 
 class VersionedCache:
@@ -160,59 +80,17 @@ class PackedSignatureMatrix:
     a free list on unregister; ``_dataset_rows`` preserves each dataset's
     column order (which the tie-breaking of the scalar reference depends
     on) and its own insertion order mirrors the index's ``profiles`` dict.
-
-    When ``lsh_bands`` is set, each row is additionally keyed into
-    ``lsh_bands`` hash tables over ``num_hashes // lsh_bands``-wide slices
-    of its signature; :meth:`candidate_rows` unions the buckets the query
-    signatures fall into, which prunes the exact scan sublinearly.
-
-    When ``multi_probe`` is also set (and bands are wider than one row),
-    every row is *additionally* keyed into one near-miss table per
-    (band, dropped position): the band slice with that position removed.
-    A query then probes those tables too, so a pair colliding on all but
-    one row of any band still becomes a candidate — per-band hit
-    probability rises from ``s**r`` to ``s**r + r·s**(r-1)·(1-s)``, which
-    is what cuts the miss rate at low similarity (see :func:`lsh_recall`).
     """
 
-    def __init__(
-        self,
-        num_hashes: int,
-        lsh_bands: int | None = None,
-        multi_probe: bool = False,
-    ) -> None:
+    def __init__(self, num_hashes: int) -> None:
         if num_hashes <= 0:
             raise DiscoveryError("num_hashes must be positive")
-        if lsh_bands is not None:
-            if lsh_bands <= 0 or num_hashes % lsh_bands != 0:
-                raise DiscoveryError(
-                    f"lsh_bands must evenly divide num_hashes "
-                    f"(got {lsh_bands} bands over {num_hashes} hashes)"
-                )
         self.num_hashes = num_hashes
-        self.lsh_bands = lsh_bands
-        self._rows_per_band = num_hashes // lsh_bands if lsh_bands else 0
-        # Near-miss probing needs at least two rows per band: with one-row
-        # bands there is no "all but one position" bucket to probe.
-        self.multi_probe = bool(multi_probe and lsh_bands and self._rows_per_band > 1)
         self._matrix = np.empty((0, num_hashes), dtype=np.int64)
         self._num_values = np.empty((0,), dtype=np.int64)
         self._row_column: list[str | None] = []
-        self._row_dataset: list[str | None] = []
         self._free: list[int] = []
         self._dataset_rows: dict[str, list[int]] = {}
-        # Registration sequence per dataset: lets candidate subsets be
-        # re-ordered into the same order a full registry walk would visit.
-        self._dataset_seq: dict[str, int] = {}
-        self._next_seq = 0
-        self._band_tables: list[dict[bytes, set[int]]] = [
-            {} for _ in range(lsh_bands or 0)
-        ]
-        # One near-miss table per (band, dropped position), flat-indexed as
-        # band * rows_per_band + position.
-        self._probe_tables: list[dict[bytes, set[int]]] = [
-            {} for _ in range((lsh_bands or 0) * self._rows_per_band)
-        ] if self.multi_probe else []
         #: Bumped on every add/remove; callers key derived layouts on it.
         self.mutations = 0
         # One atomically-swapped tuple holding the per-dataset segment
@@ -234,29 +112,6 @@ class PackedSignatureMatrix:
         self._matrix = matrix
         self._num_values = num_values
 
-    def _band_keys(self, signature: np.ndarray) -> list[bytes]:
-        width = self._rows_per_band
-        return [
-            signature[band * width : (band + 1) * width].tobytes()
-            for band in range(self.lsh_bands or 0)
-        ]
-
-    def _probe_keys(self, band_keys: list[bytes]) -> list[bytes]:
-        """Near-miss keys, flat-indexed to match ``_probe_tables``.
-
-        For each band the full-slice key is an ``int64`` byte string; the
-        (band, position) near-miss key is that string with position's 8
-        bytes cut out.  Which position was dropped is encoded by the table
-        index, so two different drops can never alias each other.
-        """
-        keys: list[bytes] = []
-        for band_key in band_keys:
-            for position in range(self._rows_per_band):
-                keys.append(
-                    band_key[: 8 * position] + band_key[8 * (position + 1) :]
-                )
-        return keys
-
     def add(self, dataset: str, column: str, signature: np.ndarray, num_values: int) -> None:
         """Pack one column signature (a ``(num_hashes,)`` int64 row)."""
         if signature.shape != (self.num_hashes,):
@@ -271,22 +126,10 @@ class PackedSignatureMatrix:
             if row >= self._matrix.shape[0]:
                 self._grow(row + 1)
             self._row_column.append(None)
-            self._row_dataset.append(None)
         self._matrix[row] = signature
         self._num_values[row] = num_values
         self._row_column[row] = column
-        self._row_dataset[row] = dataset
-        if dataset not in self._dataset_seq:
-            self._dataset_seq[dataset] = self._next_seq
-            self._next_seq += 1
         self._dataset_rows.setdefault(dataset, []).append(row)
-        if self.lsh_bands:
-            band_keys = self._band_keys(signature)
-            for table, key in zip(self._band_tables, band_keys):
-                table.setdefault(key, set()).add(row)
-            if self.multi_probe:
-                for table, key in zip(self._probe_tables, self._probe_keys(band_keys)):
-                    table.setdefault(key, set()).add(row)
         self.mutations += 1
         self._layout_cache = None
 
@@ -296,23 +139,8 @@ class PackedSignatureMatrix:
         if not rows:
             return
         for row in rows:
-            if self.lsh_bands:
-                band_keys = self._band_keys(self._matrix[row])
-                tables_and_keys = list(zip(self._band_tables, band_keys))
-                if self.multi_probe:
-                    tables_and_keys += list(
-                        zip(self._probe_tables, self._probe_keys(band_keys))
-                    )
-                for table, key in tables_and_keys:
-                    bucket = table.get(key)
-                    if bucket is not None:
-                        bucket.discard(row)
-                        if not bucket:
-                            del table[key]
             self._row_column[row] = None
-            self._row_dataset[row] = None
             self._free.append(row)
-        self._dataset_seq.pop(dataset, None)
         self.mutations += 1
         self._layout_cache = None
 
@@ -322,35 +150,6 @@ class PackedSignatureMatrix:
 
     def __len__(self) -> int:
         return len(self._row_column) - len(self._free)
-
-    def rows_for(self, dataset: str) -> list[int]:
-        """Row ids of a dataset's columns, in registration (column) order."""
-        return self._dataset_rows.get(dataset, [])
-
-    def grouped_rows(self, rows: set[int]) -> list[tuple[str, list[int], list[str]]]:
-        """``rows`` grouped per dataset, in full-registry visit order.
-
-        Returns ``(dataset, rows, column_names)`` triples: datasets in
-        registration order and each group's rows in column order — the
-        order a full scan would produce — but the cost is proportional to
-        ``len(rows)``, not the corpus size, which is what keeps LSH-pruned
-        queries sublinear.
-        """
-        datasets = {self._row_dataset[row] for row in rows}
-        datasets.discard(None)
-        # A racing unregister may clear a dataset's sequence entry between
-        # the row read above and this sort; drop it (the rows are gone).
-        datasets &= self._dataset_seq.keys()
-        segments: list[tuple[str, list[int], list[str]]] = []
-        for dataset in sorted(datasets, key=self._dataset_seq.__getitem__):
-            selected = [row for row in self._dataset_rows[dataset] if row in rows]
-            segments.append(
-                (dataset, selected, [self._row_column[row] for row in selected])
-            )
-        return segments
-
-    def column_of(self, row: int) -> str | None:
-        return self._row_column[row]
 
     def layout(self) -> tuple:
         """The full corpus packed as contiguous per-dataset segments.
@@ -393,56 +192,20 @@ class PackedSignatureMatrix:
         return cache
 
     def scan(self, query_signatures: np.ndarray):
-        """One consistent (layout, similarities) pair for an exact scan."""
+        """One consistent (layout, similarities) pair for an exact scan.
+
+        The similarities are the estimated Jaccard of every (query row,
+        corpus row) pair: ``matches / num_hashes`` with float64 division —
+        bit-identical to the scalar :meth:`MinHashSketch.jaccard` (which is
+        ``int / int``), so vectorized similarities compare and sort exactly
+        like scalar ones.  Rows with ``num_values == 0`` are zeroed,
+        matching the scalar empty-sketch guard.
+        """
         row_ids, starts, segments, selected, empty = self.layout()
-        return (row_ids, starts, segments), self._broadcast(
-            query_signatures, selected, empty
-        )
-
-    # -- querying --------------------------------------------------------------
-    def candidate_rows(self, query_signatures: np.ndarray) -> set[int]:
-        """LSH-pruned candidate rows: share ≥1 band bucket with any query row.
-
-        With ``multi_probe`` the near-miss tables are probed too, so rows
-        agreeing on all but one position of any band also qualify.
-        """
-        if not self.lsh_bands:
-            raise DiscoveryError("candidate_rows requires LSH banding to be enabled")
-        candidates: set[int] = set()
-        for signature in query_signatures:
-            band_keys = self._band_keys(signature)
-            for table, key in zip(self._band_tables, band_keys):
-                bucket = table.get(key)
-                if bucket:
-                    candidates |= bucket
-            if self.multi_probe:
-                for table, key in zip(self._probe_tables, self._probe_keys(band_keys)):
-                    bucket = table.get(key)
-                    if bucket:
-                        candidates |= bucket
-        return candidates
-
-    def similarities(self, query_signatures: np.ndarray, row_ids: np.ndarray) -> np.ndarray:
-        """Estimated Jaccard of every (query row, selected row) pair.
-
-        ``matches / num_hashes`` with float64 division — bit-identical to
-        the scalar :meth:`MinHashSketch.jaccard` (which is ``int / int``),
-        so vectorized similarities compare and sort exactly like scalar
-        ones.  Rows with ``num_values == 0`` are zeroed, matching the
-        scalar empty-sketch guard.
-        """
-        return self._broadcast(
-            query_signatures, self._matrix[row_ids], self._num_values[row_ids] == 0
-        )
-
-    @staticmethod
-    def _broadcast(
-        query_signatures: np.ndarray, selected: np.ndarray, empty: np.ndarray
-    ) -> np.ndarray:
         matches = (query_signatures[:, None, :] == selected[None, :, :]).sum(axis=2)
         sims = matches / selected.shape[1]
         sims[:, empty] = 0.0
-        return sims
+        return (row_ids, starts, segments), sims
 
 
 class SparseTermMatrix:

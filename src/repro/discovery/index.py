@@ -6,26 +6,20 @@ Jaccard similarity and compatible key-ness) or **unioned** (schemas whose
 columns align under TF-IDF cosine similarity).
 
 The index holds only profiles/sketches — never raw provider rows — matching
-the paper's architecture where discovery metadata and semi-ring sketches are
-the only artefacts uploaded to the central platform.
+the paper's architecture, where discovery runs on uploaded metadata.
 
 Discovery is the serving hot path, so the index keeps two implementations:
 
 * the **vectorized engine** (default): joinable-column signatures live in a
   packed ``int64`` matrix (:class:`PackedSignatureMatrix`), so one join
   query is a single broadcast comparison over the whole corpus plus a
-  segmented max-reduction — optionally preceded by LSH banding
-  (``use_lsh``) that prunes the candidate rows sublinearly before exact
-  scoring, with the band count either hand-picked (``lsh_bands``) or
-  derived from a ``target_recall`` at the join threshold (adaptive
-  banding, optionally with near-miss ``multi_probe`` lookups); union
-  queries are a sparse term-matrix product (:class:`SparseTermMatrix`):
-  one vectorized dot per query column scores the *whole corpus* at once,
-  with per-sketch IDF-weighted norms memoised against
-  ``IdfModel.version``;
+  segmented max-reduction; union queries are a sparse term-matrix product
+  (:class:`SparseTermMatrix`): one vectorized dot per query column scores
+  the *whole corpus* at once, with per-sketch IDF-weighted norms memoised
+  against ``IdfModel.version``;
 * the **scalar reference** (``vectorized=False`` or the ``*_scalar``
   methods): the original nested-loop implementation, kept as the parity
-  oracle — the vectorized exact path returns candidate lists identical to
+  oracle — the vectorized path returns candidate lists identical to
   it (same candidates, same order, bit-equal similarities).
 """
 
@@ -40,7 +34,6 @@ from repro.discovery.engine import (
     PackedSignatureMatrix,
     SparseTermMatrix,
     VersionedCache,
-    adaptive_lsh_bands,
 )
 from repro.discovery.minhash import MinHasher
 from repro.discovery.profiles import DatasetProfile, profile_relation
@@ -109,22 +102,9 @@ class DiscoveryIndex:
     ===================  =========  ==================================================
     ``vectorized``       ``True``   packed-matrix join scan + sparse union scoring;
                                     ``False`` restores the scalar reference loops
-    ``use_lsh``          ``False``  LSH-banded candidate pruning before exact join
-                                    scoring — sublinear but approximate (may miss
-                                    low-similarity candidates)
-    ``lsh_bands``        ``32``     bands over ``num_hashes // lsh_bands``-row slices;
-                                    more bands = higher recall, more candidates
-    ``target_recall``    ``None``   *adaptive banding*: derive ``lsh_bands`` from the
-                                    S-curve so a pair at ``join_threshold`` is
-                                    recalled with at least this probability
-                                    (overrides ``lsh_bands``; see
-                                    :func:`repro.discovery.engine.adaptive_lsh_bands`)
-    ``multi_probe``      ``False``  probe the near-miss band buckets too (all-but-one
-                                    row agreement), cutting misses at low similarity
-                                    for the same band count
     ===================  =========  ==================================================
 
-    The exact vectorized paths stay result-identical to the scalar
+    The vectorized paths stay result-identical to the scalar
     reference — joins via the packed signature matrix, unions via the
     sparse term matrix whose accumulation order reproduces the scalar
     float arithmetic bit for bit.  ``norm_cache`` memoises per-sketch
@@ -135,40 +115,15 @@ class DiscoveryIndex:
     minhasher: MinHasher = field(default_factory=MinHasher)
     join_threshold: float = 0.3
     union_threshold: float = 0.55
-    profiles: dict[str, DatasetProfile] = field(default_factory=dict)
+    # Filled only through register/register_profile, which also feed the
+    # IDF model and the packed structures.
+    profiles: dict[str, DatasetProfile] = field(default_factory=dict, init=False)
     idf_model: IdfModel = field(default_factory=IdfModel)
     vectorized: bool = True
-    use_lsh: bool = False
-    lsh_bands: int = 32
-    target_recall: float | None = None
-    multi_probe: bool = False
     norm_cache: VersionedCache | None = None
 
     def __post_init__(self) -> None:
-        if not self.use_lsh and (self.target_recall is not None or self.multi_probe):
-            # Refuse rather than silently serve exact scans: a caller who
-            # asked for a recall target or probing expects banding on.
-            raise DiscoveryError(
-                "target_recall and multi_probe configure LSH banding; "
-                "pass use_lsh=True to enable it"
-            )
-        if self.use_lsh and self.target_recall is not None:
-            # Adaptive banding: solve the S-curve for the cheapest band
-            # count meeting the target recall at the join threshold
-            # (validates target_recall ∈ (0, 1]).
-            self.lsh_bands = adaptive_lsh_bands(
-                self.minhasher.num_hashes,
-                self.join_threshold,
-                self.target_recall,
-                self.multi_probe,
-            )
-        bands = self.lsh_bands if self.use_lsh else None
-        # Band validation (positive, evenly divides the signature width)
-        # happens in PackedSignatureMatrix so the error is raised in one
-        # place with one message.
-        self._signatures = PackedSignatureMatrix(
-            self.minhasher.num_hashes, bands, multi_probe=self.multi_probe
-        )
+        self._signatures = PackedSignatureMatrix(self.minhasher.num_hashes)
         self._terms = SparseTermMatrix()
         if self.norm_cache is None:
             self.norm_cache = VersionedCache(lambda: self.idf_model.version)
@@ -178,8 +133,6 @@ class DiscoveryIndex:
         # preserving the flat index's historical behaviour for exotic
         # profiles.  Unregistering the offenders restores the fast path.
         self._unpacked: set[str] = set()
-        for profile in self.profiles.values():
-            self._index_profile(profile)
 
     # -- registration ----------------------------------------------------------
     def register(self, relation: Relation) -> DatasetProfile:
@@ -347,27 +300,12 @@ class DiscoveryIndex:
             valid = np.array(
                 [column.minhash.num_values > 0 for column in query_columns], dtype=bool
             )
-            if self.use_lsh:
-                with span("discovery.lsh_candidates") as banding:
-                    selection = self._lsh_layout(signatures[valid]) if valid.any() else None
-                    banding.annotate(
-                        candidate_rows=int(selection[0].size) if selection else 0
-                    )
-                with span("discovery.join_verify"):
-                    sims = (
-                        engine.similarities(signatures, selection[0])
-                        if selection
-                        else None
-                    )
-            else:
-                # One engine call hands back a layout and similarities built
-                # from the same snapshot, so a concurrent register/unregister
-                # cannot misalign the two.
-                with span("discovery.join_verify"):
-                    selection, sims = engine.scan(signatures)
-                if not selection[0].size:
-                    sims = None
-            if sims is not None:
+            # One engine call hands back a layout and similarities built
+            # from the same snapshot, so a concurrent register/unregister
+            # cannot misalign the two.
+            with span("discovery.join_verify"):
+                selection, sims = engine.scan(signatures)
+            if selection[0].size:
                 results = self._join_segment_results(
                     query_profile, query_columns, valid, selection, sims
                 )
@@ -424,30 +362,6 @@ class DiscoveryIndex:
                     )
                 )
         return results
-
-    def _lsh_layout(self, query_signatures: np.ndarray):
-        """Per-dataset segments restricted to LSH band-collision rows.
-
-        Cost is proportional to the candidate set, not the corpus: the
-        banded rows are grouped per dataset by the engine (in the same
-        order a full registry walk would visit them, so tie-breaking
-        matches the exact scan).
-        """
-        engine = self._signatures
-        allowed = engine.candidate_rows(query_signatures)
-        if not allowed:
-            return None
-        segments = engine.grouped_rows(allowed)
-        flat: list[int] = []
-        starts: list[int] = []
-        for _, rows, _ in segments:
-            starts.append(len(flat))
-            flat.extend(rows)
-        return (
-            np.asarray(flat, dtype=np.intp),
-            np.asarray(starts, dtype=np.intp),
-            segments,
-        )
 
     # -- sparse union engine ---------------------------------------------------
     def _union_candidates_sparse(

@@ -20,12 +20,6 @@ from repro.exceptions import DiscoveryError
 _PRIME = (1 << 61) - 1
 
 
-def _stable_hash(value: str) -> int:
-    """A deterministic 64-bit hash (Python's builtin hash is salted per process)."""
-    digest = hashlib.blake2b(value.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
 @dataclass(frozen=True)
 class MinHashSketch:
     """A fixed-width MinHash signature over a column's distinct values."""

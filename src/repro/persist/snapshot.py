@@ -11,9 +11,10 @@ rebuild a :class:`~repro.core.platform.Mileena` platform bit-identically:
   the column MinHash signatures and TF-IDF term counts, so restoring
   replays them straight into the packed signature matrix and the sparse
   term-matrix postings without re-profiling a single relation;
-* the **engine configuration** (shard count, thresholds, LSH knobs, the
-  ``MinHasher`` instance) plus the platform-level pieces (proxy model,
-  sketch builder, ``discovery_top_k``) — so a restored platform is not
+* the **engine configuration** (shard count, thresholds, the
+  ``vectorized`` switch, the ``MinHasher`` instance) plus the
+  platform-level pieces (proxy model, sketch builder,
+  ``discovery_top_k``) — so a restored platform is not
   just data-identical but *configuration*-identical;
 * the **corpus epoch**, so epoch-keyed caches and WAL replay line up with
   the live platform's counters.
@@ -155,10 +156,6 @@ ENGINE_KNOBS = {
     "join_threshold": 0.3,
     "union_threshold": 0.55,
     "vectorized": True,
-    "use_lsh": False,
-    "lsh_bands": 32,
-    "target_recall": None,
-    "multi_probe": False,
 }
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.exceptions import PrivacyError
 from repro.privacy.mechanisms import PrivacyBudget, analytic_gaussian_sigma
-from repro.relational.relation import Relation
 from repro.semiring.covariance import CovarianceElement
 
 
@@ -48,12 +47,6 @@ class TuplePrivacyMechanism:
         sensitivity = np.sqrt(columns) * self.clip_bound
         sigma = analytic_gaussian_sigma(sensitivity, budget.epsilon, budget.delta)
         return matrix + self.rng.normal(0.0, sigma, size=(rows, columns))
-
-    def privatize_relation_matrix(
-        self, relation: Relation, features: list[str], budget: PrivacyBudget
-    ) -> np.ndarray:
-        """Perturbed feature matrix of a relation (helper for the search baselines)."""
-        return self.perturb_matrix(relation.numeric_matrix(features), budget)
 
     def privatize_element(
         self,

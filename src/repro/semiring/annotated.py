@@ -10,7 +10,7 @@ covariance one (counts, sums, marginal histograms for causal inference).
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Hashable, Iterable, Mapping, TypeVar
+from typing import Callable, Generic, Iterable, TypeVar
 
 from repro.exceptions import SemiringError
 from repro.relational.relation import Relation
@@ -114,10 +114,6 @@ class AnnotatedRelation(Generic[E]):
     def regroup(self) -> E:
         """Collapse all groups (equivalent to :meth:`total`)."""
         return self.total()
-
-    def to_dict(self) -> Mapping[Hashable, E]:
-        """A plain ``{key: annotation}`` dictionary copy."""
-        return dict(self._annotations)
 
     def _check_compatible(self, other: "AnnotatedRelation[E]") -> None:
         if self.group_columns != other.group_columns:

@@ -9,9 +9,7 @@ picture; ``docs/TUNING.md`` covers knob selection.  The knobs reachable
 from this layer, with defaults.  Each has one home: ``backend``,
 ``cache_capacity`` and the ``snapshot_*`` knobs are :class:`GatewayConfig`
 fields (``Mileena.attach_snapshots`` also takes a directory and cadence),
-``num_shards`` is the only parameter of ``Mileena.sharded``, and the LSH
-knobs are index-constructor parameters (``ShardedDiscoveryIndex`` or
-``repro.discovery.DiscoveryIndex``):
+and ``num_shards`` is the only parameter of ``Mileena.sharded``:
 
 =====================  ==================  =======================================
 knob                   default             trade-off
@@ -23,14 +21,6 @@ knob                   default             trade-off
                                            churn evicts naturally
 ``num_shards``         ``4``               no parallelism and no memory split (one
                                            lock, one process); flat is faster
-``use_lsh``            ``False``           sublinear join pruning, approximate
-``lsh_bands``          ``32``              more bands = higher recall, more
-                                           candidates to score
-``target_recall``      ``None``            derive ``lsh_bands`` from a recall
-                                           floor at the join threshold instead of
-                                           hand-picking
-``multi_probe``        ``False``           probe near-miss buckets: higher recall
-                                           at low similarity for the same bands
 ``snapshot_dir``       ``None``            durable state: snapshot + mutation WAL
                                            under this directory; restart is
                                            ``Mileena.load(dir)`` instead of a

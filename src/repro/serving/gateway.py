@@ -153,12 +153,12 @@ class GatewayConfig:
         the last-known-good cache, flagged ``degraded=True``, or fails
         with a typed error.  See ``docs/RELIABILITY.md``.
 
-    Discovery-side knobs (``use_lsh``, ``lsh_bands``, ``target_recall``,
-    ``multi_probe``) live on the platform's discovery index — set them on
+    Discovery-side knobs (``join_threshold``, ``union_threshold``,
+    ``vectorized``) live on the platform's discovery index — set them on
     the index constructor; the process backend's
     :class:`~repro.serving.backends.PlatformSpec` carries them in the
-    snapshot sections so worker replicas stay result-identical.  ``docs/TUNING.md`` has the combined
-    knobs table and trade-offs.
+    snapshot sections so worker replicas stay result-identical.
+    ``docs/TUNING.md`` has the combined knobs table and trade-offs.
     """
 
     max_workers: int = 4

@@ -133,10 +133,8 @@ class ShardedDiscoveryIndex:
     ``IdfModel.version`` — a fan-out query computes each norm once, not
     once per shard.
 
-    Each shard runs the packed vectorized engine (``vectorized``/
-    ``use_lsh``/``lsh_bands``/``target_recall``/``multi_probe`` are
-    forwarded; when ``target_recall`` is set the band count is derived
-    adaptively and :attr:`lsh_bands` reflects the resolved value).
+    Each shard runs the packed vectorized engine (``vectorized`` is
+    forwarded).
     """
 
     def __init__(
@@ -147,10 +145,6 @@ class ShardedDiscoveryIndex:
         union_threshold: float = 0.55,
         metrics: MetricsRegistry | None = None,
         vectorized: bool = True,
-        use_lsh: bool = False,
-        lsh_bands: int = 32,
-        target_recall: float | None = None,
-        multi_probe: bool = False,
     ) -> None:
         if num_shards <= 0:
             raise DiscoveryError("num_shards must be positive")
@@ -165,9 +159,6 @@ class ShardedDiscoveryIndex:
         self.join_threshold = join_threshold
         self.union_threshold = union_threshold
         self.vectorized = vectorized
-        self.use_lsh = use_lsh
-        self.target_recall = target_recall
-        self.multi_probe = multi_probe
         self.norm_cache = VersionedCache(lambda: self.idf_model.version)
         self.shards = [
             DiscoveryIndex(
@@ -176,17 +167,10 @@ class ShardedDiscoveryIndex:
                 union_threshold=union_threshold,
                 idf_model=self.idf_model,
                 vectorized=vectorized,
-                use_lsh=use_lsh,
-                lsh_bands=lsh_bands,
-                target_recall=target_recall,
-                multi_probe=multi_probe,
                 norm_cache=self.norm_cache,
             )
             for _ in range(num_shards)
         ]
-        # Every shard derives the same band count; expose the resolved
-        # value (== lsh_bands unless target_recall triggered adaptation).
-        self.lsh_bands = self.shards[0].lsh_bands if self.shards else lsh_bands
         self._sequence: dict[str, int] = {}
         self._next_sequence = 0
         self._lock = threading.Lock()

@@ -2,10 +2,7 @@
 
 The vectorized exact path is required to be *result identical* to the
 scalar reference — same candidates, same ordering, similarities equal to
-within 1e-12 (in practice bit-equal, which is what we assert).  The LSH
-path is approximate by construction, so its parity is asserted on corpora
-whose true matches are high-similarity (where the banding miss probability
-is astronomically small) and its subset property on adversarial ones.
+within 1e-12 (in practice bit-equal, which is what we assert).
 """
 
 import random
@@ -43,15 +40,13 @@ def make_corpus(rng, num_datasets, num_domains=7):
 
 
 def build_indexes(relations, **kwargs):
-    """The same corpus registered into scalar, vectorized, and LSH indexes."""
+    """The same corpus registered into scalar and vectorized indexes."""
     scalar = DiscoveryIndex(vectorized=False, **kwargs)
     vectorized = DiscoveryIndex(vectorized=True, **kwargs)
-    lsh = DiscoveryIndex(vectorized=True, use_lsh=True, **kwargs)
     for relation in relations:
         scalar.register(relation)
         vectorized.register(relation)
-        lsh.register(relation)
-    return scalar, vectorized, lsh
+    return scalar, vectorized
 
 
 def assert_join_parity(reference, candidate_index, query, top_k=None):
@@ -80,24 +75,23 @@ def assert_union_parity(reference, candidate_index, query, top_k=None):
 def test_randomized_join_and_union_parity(seed):
     rng = random.Random(seed)
     relations = make_corpus(rng, num_datasets=50)
-    scalar, vectorized, lsh = build_indexes(
+    scalar, vectorized = build_indexes(
         relations, join_threshold=0.1, union_threshold=0.2
     )
     for _ in range(4):
         query = make_relation("query", rng, f"dom{rng.randint(0, 6)}")
         assert_join_parity(scalar, vectorized, query)
         assert_union_parity(scalar, vectorized, query)
-        assert_join_parity(scalar, lsh, query)
 
 
 @pytest.mark.parametrize("seed", [3, 4])
 def test_parity_survives_register_unregister_churn(seed):
     rng = random.Random(seed)
     relations = make_corpus(rng, num_datasets=40)
-    scalar, vectorized, lsh = build_indexes(
+    scalar, vectorized = build_indexes(
         relations, join_threshold=0.1, union_threshold=0.2
     )
-    indexes = (scalar, vectorized, lsh)
+    indexes = (scalar, vectorized)
     for round_number in range(3):
         victims = rng.sample([r.name for r in relations], k=8)
         for name in victims:
@@ -113,15 +107,13 @@ def test_parity_survives_register_unregister_churn(seed):
         query = make_relation("query", rng, f"dom{rng.randint(0, 6)}")
         assert_join_parity(scalar, vectorized, query)
         assert_union_parity(scalar, vectorized, query)
-        assert_join_parity(scalar, lsh, query)
         assert len(vectorized) == len(scalar)
-        assert len(lsh) == len(scalar)
 
 
 def test_reregistration_replaces_packed_rows():
     rng = random.Random(9)
     relations = make_corpus(rng, num_datasets=12)
-    scalar, vectorized, _ = build_indexes(relations, join_threshold=0.1)
+    scalar, vectorized = build_indexes(relations, join_threshold=0.1)
     replacement = make_relation(relations[3].name, rng, "dom0")
     scalar.register(replacement)
     vectorized.register(replacement)
@@ -133,17 +125,16 @@ def test_reregistration_replaces_packed_rows():
 def test_top_k_and_self_exclusion_parity():
     rng = random.Random(5)
     relations = make_corpus(rng, num_datasets=25)
-    scalar, vectorized, lsh = build_indexes(
+    scalar, vectorized = build_indexes(
         relations, join_threshold=0.1, union_threshold=0.2
     )
     query = make_relation("query", rng, "dom1")
-    for index in (scalar, vectorized, lsh):
+    for index in (scalar, vectorized):
         index.register(query)
     for top_k in (0, 1, 5, None):
         assert_join_parity(scalar, vectorized, query, top_k)
         assert_union_parity(scalar, vectorized, query, top_k)
     assert all(c.dataset != "query" for c in vectorized.join_candidates(query))
-    assert all(c.dataset != "query" for c in lsh.join_candidates(query))
 
 
 def test_empty_index_and_empty_query():
@@ -158,34 +149,17 @@ def test_empty_index_and_empty_query():
         Schema.from_spec({"metric": NUMERIC}),
     )
     rng = random.Random(1)
-    scalar, vec, lsh = build_indexes(make_corpus(rng, 10), join_threshold=0.1)
+    scalar, vec = build_indexes(make_corpus(rng, 10), join_threshold=0.1)
     assert_join_parity(scalar, vec, numeric_only)
     assert vec.join_candidates(numeric_only) == []
-    assert lsh.join_candidates(numeric_only) == []
 
 
-def test_lsh_results_are_subset_of_exact_on_adversarial_corpus():
-    """With weak overlaps LSH may prune, but never invents candidates."""
-    rng = random.Random(11)
-    relations = make_corpus(rng, num_datasets=60, num_domains=3)
-    scalar, _, lsh = build_indexes(relations, join_threshold=0.05)
-    query = make_relation("query", rng, "dom0", key_span=400)
-    exact = {
-        (c.dataset, c.query_column, c.candidate_column): c.similarity
-        for c in scalar.join_candidates_scalar(query)
-    }
-    for candidate in lsh.join_candidates(query):
-        key = (candidate.dataset, candidate.query_column, candidate.candidate_column)
-        # Every LSH candidate must be scored identically to the exact scan
-        # for the same column pair (pruning may swap in a lesser pair for a
-        # dataset, but the reported pair's similarity is always exact).
-        if key in exact:
-            assert candidate.similarity == exact[key]
-
-
-def test_lsh_bands_must_divide_num_hashes():
-    with pytest.raises(DiscoveryError):
-        DiscoveryIndex(use_lsh=True, lsh_bands=7)
+def test_profiles_are_not_a_constructor_argument():
+    # Profiles enter only through register/register_profile, which also
+    # feed the IDF model; a constructor seed would skip it and score
+    # unions against an empty IDF.
+    with pytest.raises(TypeError, match="profiles"):
+        DiscoveryIndex(profiles={})
 
 
 def test_foreign_width_profile_falls_back_to_scalar():
@@ -234,17 +208,6 @@ def test_packed_matrix_rejects_bad_widths():
     matrix = PackedSignatureMatrix(num_hashes=8)
     with pytest.raises(DiscoveryError):
         matrix.add("a", "x", np.arange(4, dtype=np.int64), 1)
-    with pytest.raises(DiscoveryError):
-        PackedSignatureMatrix(num_hashes=8, lsh_bands=3)
-
-
-def test_lsh_candidate_rows_find_identical_signatures():
-    matrix = PackedSignatureMatrix(num_hashes=8, lsh_bands=4)
-    signature = np.arange(8, dtype=np.int64)
-    matrix.add("a", "x", signature, 3)
-    matrix.add("b", "x", signature * 100 + 7, 3)
-    candidates = matrix.candidate_rows(signature[None, :])
-    assert 0 in candidates and 1 not in candidates
 
 
 def test_versioned_cache_invalidates_on_version_change():
@@ -268,7 +231,7 @@ def test_unregistering_foreign_width_profile_restores_fast_path():
 
     rng = random.Random(8)
     relations = make_corpus(rng, 10)
-    scalar, vectorized, _ = build_indexes(relations, join_threshold=0.1)
+    scalar, vectorized = build_indexes(relations, join_threshold=0.1)
     foreign = profile_relation(
         make_relation("foreign", rng, "dom0"), MinHasher(num_hashes=16)
     )
@@ -279,32 +242,3 @@ def test_unregistering_foreign_width_profile_restores_fast_path():
     vectorized.unregister("foreign")
     # The offender is gone: the vectorized path serves again, at parity.
     assert_join_parity(scalar, vectorized, query)
-
-
-def test_grouped_rows_preserves_registration_order():
-    matrix = PackedSignatureMatrix(num_hashes=8)
-    signature = np.arange(8, dtype=np.int64)
-    for dataset, column in [("b", "x"), ("a", "x"), ("a", "y"), ("c", "x")]:
-        matrix.add(dataset, column, signature, 1)
-    all_rows = set(range(4))
-    assert matrix.grouped_rows(all_rows) == [
-        ("b", [0], ["x"]),
-        ("a", [1, 2], ["x", "y"]),
-        ("c", [3], ["x"]),
-    ]
-    # Removal + re-registration moves a dataset to the end of the order,
-    # and freed rows reused by another dataset keep their column order.
-    matrix.remove_dataset("a")
-    matrix.add("a", "z", signature + 1, 1)
-    live = {0, 3} | set(matrix.rows_for("a"))
-    assert matrix.grouped_rows(live) == [
-        ("b", [0], ["x"]),
-        ("c", [3], ["x"]),
-        ("a", matrix.rows_for("a"), ["z"]),
-    ]
-
-
-def test_invalid_lsh_band_counts_raise_discovery_error():
-    for bands in (0, -4, 7):
-        with pytest.raises(DiscoveryError):
-            DiscoveryIndex(use_lsh=True, lsh_bands=bands)

@@ -1,29 +1,19 @@
-"""PR 4 contracts: sparse union scoring and adaptive multi-probe LSH.
+"""Sparse union scoring contracts.
 
-Two promises are pinned here:
-
-* the sparse term-matrix union path is **bit-identical** to the scalar
-  oracle (same candidates, same order, equal floats) including under
-  register/unregister churn that recycles matrix rows; and
-* adaptive banding's measured join recall on a seeded corpus is at least
-  the configured target, and multi-probe never loses candidates relative
-  to plain banding at the same band count.
+The sparse term-matrix union path is **bit-identical** to the scalar
+oracle (same candidates, same order, equal floats) including under
+register/unregister churn that recycles matrix rows.
 """
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.discovery import (
     DiscoveryIndex,
-    PackedSignatureMatrix,
     SparseTermMatrix,
     TfIdfSketch,
-    adaptive_lsh_bands,
-    lsh_recall,
 )
-from repro.exceptions import DiscoveryError
 from repro.relational import CATEGORICAL, KEY, NUMERIC, Relation, Schema
 
 SPEC = {"key": KEY, "tag": CATEGORICAL, "metric": NUMERIC}
@@ -205,102 +195,3 @@ def test_sparse_term_matrix_compatibility_masks():
     assert matrix.compatible_rows("numeric").tolist() == [True, False, False]
     assert matrix.compatible_rows("key").tolist() == [False, True, True]
     assert matrix.compatible_rows("categorical").tolist() == [False, True, True]
-
-
-# -- adaptive banding ----------------------------------------------------------
-
-
-def test_adaptive_bands_properties():
-    for threshold in (0.1, 0.3, 0.5, 0.8):
-        for target in (0.5, 0.9, 0.99):
-            bands = adaptive_lsh_bands(64, threshold, target)
-            assert 64 % bands == 0
-            assert lsh_recall(threshold, bands, 64 // bands) >= target or bands == 64
-            # Multi-probe can only relax the band count, never tighten it.
-            assert adaptive_lsh_bands(64, threshold, target, multi_probe=True) <= bands
-
-
-def test_lsh_knobs_require_use_lsh():
-    with pytest.raises(DiscoveryError):
-        DiscoveryIndex(target_recall=0.9)
-    with pytest.raises(DiscoveryError):
-        DiscoveryIndex(multi_probe=True)
-
-
-def test_adaptive_bands_validation():
-    with pytest.raises(DiscoveryError):
-        adaptive_lsh_bands(64, 0.3, 0.0)
-    with pytest.raises(DiscoveryError):
-        adaptive_lsh_bands(64, 0.3, 1.5)
-    with pytest.raises(DiscoveryError):
-        lsh_recall(0.3, bands=0, rows=4)
-
-
-def test_adaptive_index_resolves_band_count():
-    index = DiscoveryIndex(use_lsh=True, target_recall=0.9, join_threshold=0.3)
-    assert index.lsh_bands == adaptive_lsh_bands(64, 0.3, 0.9)
-    from repro.serving.sharded import ShardedDiscoveryIndex
-
-    sharded = ShardedDiscoveryIndex(
-        num_shards=2, use_lsh=True, target_recall=0.9, multi_probe=True
-    )
-    assert sharded.lsh_bands == adaptive_lsh_bands(64, 0.3, 0.9, multi_probe=True)
-    assert sharded.multi_probe and sharded.target_recall == 0.9
-
-
-def test_multi_probe_candidate_rows_catch_near_misses():
-    matrix = PackedSignatureMatrix(num_hashes=8, lsh_bands=2, multi_probe=True)
-    signature = np.arange(8, dtype=np.int64)
-    near_miss = signature.copy()
-    near_miss[1] += 100  # one disagreeing row in each band: plain banding
-    near_miss[5] += 100  # misses, all-but-one probing still collides
-    far = signature + 1000  # disagrees everywhere
-    matrix.add("near", "x", near_miss, 3)
-    matrix.add("far", "x", far, 3)
-    plain = PackedSignatureMatrix(num_hashes=8, lsh_bands=2)
-    plain.add("near", "x", near_miss, 3)
-    plain.add("far", "x", far, 3)
-    assert plain.candidate_rows(signature[None, :]) == set()
-    assert matrix.candidate_rows(signature[None, :]) == {0}
-    matrix.remove_dataset("near")
-    assert matrix.candidate_rows(signature[None, :]) == set()
-
-
-def test_multi_probe_results_superset_of_plain_lsh():
-    rng = random.Random(11)
-    relations = make_corpus(rng, 50, num_domains=3, key_span=250)
-    plain = DiscoveryIndex(use_lsh=True, lsh_bands=16, join_threshold=0.05)
-    probed = DiscoveryIndex(
-        use_lsh=True, lsh_bands=16, multi_probe=True, join_threshold=0.05
-    )
-    for relation in relations:
-        plain.register(relation)
-        probed.register(relation)
-    for index in range(4):
-        query = make_relation(f"q{index}", rng, f"dom{index % 3}", key_span=250)
-        plain_hits = {c.dataset for c in plain.join_candidates(query)}
-        probed_hits = {c.dataset for c in probed.join_candidates(query)}
-        assert plain_hits <= probed_hits
-
-
-def test_adaptive_lsh_measured_recall_meets_target():
-    """On a seeded corpus, adaptive banding delivers its promised recall."""
-    target = 0.9
-    rng = random.Random(13)
-    relations = make_corpus(rng, 60, num_domains=4, key_span=120)
-    exact = DiscoveryIndex(join_threshold=0.2)
-    adaptive = DiscoveryIndex(
-        use_lsh=True, target_recall=target, multi_probe=True, join_threshold=0.2
-    )
-    for relation in relations:
-        exact.register(relation)
-        adaptive.register(relation)
-    found = total = 0
-    for index in range(12):
-        query = make_relation(f"q{index}", rng, f"dom{index % 4}", key_span=120)
-        truth = {c.dataset for c in exact.join_candidates(query)}
-        hits = {c.dataset for c in adaptive.join_candidates(query)}
-        found += len(truth & hits)
-        total += len(truth)
-    assert total > 0
-    assert found / total >= target

@@ -103,11 +103,12 @@ def test_flat_roundtrip_bit_identity(tmp_path, corpus, request_for):
     assert_platforms_identical(live, loaded, corpus, request_for)
 
 
-def sharded_lsh_platform():
+def sharded_platform():
+    """A sharded platform whose thresholds differ from the defaults."""
     return Mileena(
         corpus=Corpus(
             discovery=ShardedDiscoveryIndex(
-                num_shards=3, use_lsh=True, target_recall=0.9, multi_probe=True
+                num_shards=3, join_threshold=0.25, union_threshold=0.5
             ),
             sketches=ShardedSketchStore(num_shards=3),
         )
@@ -115,33 +116,46 @@ def sharded_lsh_platform():
 
 
 def test_sharded_roundtrip_bit_identity(tmp_path, corpus, request_for):
-    live = populate(sharded_lsh_platform(), corpus)
+    live = populate(sharded_platform(), corpus)
     path = live.save(tmp_path / "snapshot.bin")
     loaded = Mileena.load(path)
     discovery = loaded.corpus.discovery
     assert type(discovery).__name__ == "ShardedDiscoveryIndex"
     assert discovery.num_shards == 3
-    assert discovery.lsh_bands == live.corpus.discovery.lsh_bands
-    assert discovery.multi_probe and discovery.target_recall == 0.9
+    assert (discovery.join_threshold, discovery.union_threshold) == (0.25, 0.5)
+    assert all(
+        (shard.join_threshold, shard.union_threshold) == (0.25, 0.5)
+        for shard in discovery.shards
+    )
     assert_platforms_identical(live, loaded, corpus, request_for)
 
 
 def test_snapshot_with_retired_keys_still_loads(tmp_path, corpus, request_for):
-    """Files written before the platform backend hint and the index-level
-    discovery cache were removed carry their keys; the reader ignores them."""
-    live = populate(sharded_lsh_platform(), corpus)
+    """Files written before the platform backend hint, the index-level
+    discovery cache and LSH discovery were removed carry their keys; the
+    reader ignores them, so an LSH-enabled file restores an exact index."""
+    live = populate(sharded_platform(), corpus)
     with live.corpus.frozen():
         sections = snapshot_platform(live)
     sections["platform"] = {
         "discovery_top_k": live.discovery_top_k,
         "serving_backend": "process",
     }
-    sections["index"] = {**sections["index"], "cache_capacity": 8}
+    sections["index"] = {
+        **sections["index"],
+        "cache_capacity": 8,
+        "use_lsh": True,
+        "lsh_bands": 16,
+        "target_recall": 0.9,
+        "multi_probe": True,
+    }
     path = tmp_path / "snapshot.bin"
     write_snapshot(path, sections)
     loaded = Mileena.load(path)
     assert read_snapshot(path)["index"]["cache_capacity"] == 8
+    assert read_snapshot(path)["index"]["use_lsh"] is True
     assert loaded.corpus.discovery.num_shards == 3
+    assert not hasattr(loaded.corpus.discovery, "use_lsh")
     assert_platforms_identical(live, loaded, corpus, request_for)
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import Mileena
+from repro.discovery import DiscoveryIndex
 from repro.serving import GatewayConfig, ResultCache, ShardedDiscoveryIndex
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -80,10 +81,6 @@ SHARDED_INDEX_PARAMS = [
     "union_threshold",
     "metrics",
     "vectorized",
-    "use_lsh",
-    "lsh_bands",
-    "target_recall",
-    "multi_probe",
 ]
 
 RESULT_CACHE_PARAMS = ["capacity", "metrics", "name"]
@@ -99,13 +96,22 @@ REMOVED_SHARDED_KEYWORDS = [
     "use_lsh",
 ]
 
+# Index constructor keywords of the deleted LSH discovery path.
+REMOVED_LSH_KEYWORDS = ["use_lsh", "lsh_bands", "target_recall", "multi_probe"]
+
 # Removed classes, methods and fields that must not linger by name.
 REMOVED_NAMES = [
     "CacheView",
+    "adaptive_lsh_bands",
     "attach_cache",
     "discovery_cache",
     "discovery_cache_capacity",
+    "lsh_bands",
+    "lsh_recall",
+    "multi_probe",
     "serving_backend",
+    "target_recall",
+    "use_lsh",
 ]
 
 
@@ -170,6 +176,17 @@ def test_removed_sharded_keyword_is_rejected(name):
 def test_removed_constructor_keyword_is_rejected(build):
     with pytest.raises(TypeError):
         build()
+
+
+@pytest.mark.parametrize("name", REMOVED_LSH_KEYWORDS)
+@pytest.mark.parametrize(
+    "index_class",
+    [DiscoveryIndex, ShardedDiscoveryIndex],
+    ids=["DiscoveryIndex", "ShardedDiscoveryIndex"],
+)
+def test_removed_lsh_keyword_is_rejected(index_class, name):
+    with pytest.raises(TypeError, match=name):
+        index_class(**{name: None})
 
 
 def test_removed_names_are_gone_from_source_and_docs():

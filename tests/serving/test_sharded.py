@@ -162,21 +162,18 @@ def test_sharded_index_scalar_shards_match_vectorized(corpus):
     """The shards' vectorized engine is result-identical to scalar shards."""
     scalar = ShardedDiscoveryIndex(num_shards=3, vectorized=False)
     vectorized = ShardedDiscoveryIndex(num_shards=3, vectorized=True)
-    lsh = ShardedDiscoveryIndex(num_shards=3, use_lsh=True)
     for relation in corpus.providers:
         scalar.register(relation)
         vectorized.register(relation)
-        lsh.register(relation)
     assert vectorized.join_candidates(corpus.train) == scalar.join_candidates(corpus.train)
     assert vectorized.union_candidates(corpus.train) == scalar.union_candidates(corpus.train)
-    assert lsh.union_candidates(corpus.train) == scalar.union_candidates(corpus.train)
 
 
-def test_sharded_platform_with_lsh_and_cache_serves_requests(corpus):
-    # LSH lives on the index constructor; the discovery memo on the platform.
+def test_sharded_platform_with_cache_serves_requests(corpus):
+    # The discovery memo lives on the platform, not on the index.
     platform = Mileena(
         corpus=Corpus(
-            discovery=ShardedDiscoveryIndex(num_shards=2, use_lsh=True),
+            discovery=ShardedDiscoveryIndex(num_shards=2),
             sketches=ShardedSketchStore(num_shards=2),
         ),
         cache=ResultCache(capacity=8),
