@@ -7,8 +7,8 @@ Prometheus scraper, or a load balancer's health probe) would:
 
 * ``/metrics`` — OpenMetrics exposition, parsed back with the validating
   parser to prove it is scrapeable;
-* ``/health`` — readiness (200 here: no SLO pages, breaker closed);
-* ``/ops`` ``/slo`` ``/traces`` — the operator surfaces as JSON/text;
+* ``/health`` — readiness (200 here: breaker closed, admission has room);
+* ``/ops`` ``/traces`` — the operator surfaces as text/JSON;
 * ``/traces/<id>`` — one retained trace, found via a histogram exemplar.
 
 Exits non-zero if any endpoint misbehaves, so CI runs this file as the
@@ -68,12 +68,13 @@ def main() -> int:
         status, text = fetch(f"{base}/health")
         assert status == 200, f"/health answered {status}: {text}"
         health = json.loads(text)
-        print(f"/health: {health['status']} (paging={health['paging_slos']})")
-
-        status, text = fetch(f"{base}/slo")
-        assert status == 200, f"/slo answered {status}"
-        for slo in json.loads(text)["slo"]:
-            print(f"/slo: {slo['name']}: {slo['state']}")
+        assert set(health) == {"status", "breaker_open", "pending", "max_pending"}
+        assert health["status"] == "ok" and not health["breaker_open"]
+        assert health["pending"] < health["max_pending"]
+        print(
+            f"/health: {health['status']} "
+            f"(pending {health['pending']}/{health['max_pending']})"
+        )
 
         status, text = fetch(f"{base}/ops")
         assert status == 200, f"/ops answered {status}"

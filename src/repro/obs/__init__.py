@@ -21,12 +21,8 @@ The pieces:
 * :mod:`repro.obs.export` — OpenMetrics text exposition of the metrics
   registry (HELP lines sourced from ``docs/OBSERVABILITY.md``, histogram
   bucket series with trace exemplars) plus the validating parser;
-* :mod:`repro.obs.history` — the pull-driven :class:`MetricsHistory`
-  snapshot ring with windowed deltas, rates, and latency quantiles;
-* :mod:`repro.obs.slo` — declarative :class:`SloSpec` objectives
-  evaluated as fast/slow-window burn rates (``ok`` / ``warn`` / ``page``);
 * :mod:`repro.obs.server` — the threaded stdlib HTTP :class:`OpsServer`
-  (``/metrics`` ``/health`` ``/ops`` ``/slo`` ``/traces``), opt-in via
+  (``/metrics`` ``/health`` ``/ops`` ``/traces``), opt-in via
   ``GatewayConfig(ops_port=...)``.
 
 ``docs/OBSERVABILITY.md`` catalogues every metric and span name
@@ -40,10 +36,8 @@ from repro.obs.export import (
     render_openmetrics,
     sanitize_name,
 )
-from repro.obs.history import HistogramWindow, HistorySnapshot, MetricsHistory
 from repro.obs.report import gateway_stats, ops_report, render_trace
 from repro.obs.server import OpsServer
-from repro.obs.slo import SloEngine, SloSpec, SloStatus, default_slos
 from repro.obs.trace import (
     RemoteTrace,
     Span,
@@ -57,15 +51,9 @@ from repro.obs.trace import (
 
 __all__ = [
     "CompletedTrace",
-    "HistogramWindow",
-    "HistorySnapshot",
-    "MetricsHistory",
     "OpenMetricsParseError",
     "OpsServer",
     "RemoteTrace",
-    "SloEngine",
-    "SloSpec",
-    "SloStatus",
     "Span",
     "SpanRecord",
     "Trace",
@@ -73,7 +61,6 @@ __all__ = [
     "Tracer",
     "attach_records",
     "current_span",
-    "default_slos",
     "gateway_stats",
     "ops_report",
     "parse_openmetrics",

@@ -7,14 +7,12 @@ can hit while the gateway serves traffic:
 
 ==============  =============================================================
 ``/metrics``    OpenMetrics exposition of the whole registry (see
-                :mod:`repro.obs.export`); each scrape also ticks the
-                :class:`~repro.obs.history.MetricsHistory` ring and runs
-                one SLO evaluation, so scraping *is* the SLO clock.
-``/health``     readiness: 200 when no SLO pages and the dispatch breaker
-                is not open, 503 otherwise (JSON body with the evidence).
+                :mod:`repro.obs.export`).
+``/health``     readiness: 200 when the dispatch breaker would admit a
+                request right now and admission has room, 503 otherwise
+                (JSON body with the evidence).
 ``/ops``        the text ``ops_report()`` — the same report the benchmarks
                 write next to their JSONs.
-``/slo``        the last burn-rate evaluation per SLO, as JSON.
 ``/traces``     retained-trace summaries from the ``TraceBuffer``, newest
                 last, as JSON.
 ``/traces/<id>``  one retained trace's full span records — the target of
@@ -36,50 +34,27 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.export import render_openmetrics
-from repro.obs.history import MetricsHistory
 from repro.obs.report import ops_report, render_trace
-from repro.obs.slo import SloEngine
 
 #: Content type Prometheus expects for OpenMetrics text.
 OPENMETRICS_CONTENT_TYPE = (
     "application/openmetrics-text; version=1.0.0; charset=utf-8"
 )
 
-#: ``gateway.breaker.state`` gauge value meaning "open".
-_BREAKER_OPEN = 2
-
 
 class OpsServer:
     """Serves the ops HTTP surface for one gateway.
 
     ``gateway`` is duck-typed: ``metrics`` (a registry), ``tracer`` (for
-    the trace buffer), and whatever :func:`repro.obs.report.ops_report`
-    reads.  ``history`` and ``slo`` default to a fresh ring and the stock
-    SLO set wired to the gateway's registry.
+    the trace buffer), ``resilience.breaker``, ``pending`` and
+    ``config.max_pending`` (for readiness), and whatever
+    :func:`repro.obs.report.ops_report` reads.
     """
 
-    def __init__(
-        self,
-        gateway,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        history: MetricsHistory | None = None,
-        slo: SloEngine | None = None,
-        history_capacity: int = 512,
-    ) -> None:
+    def __init__(self, gateway, host: str = "127.0.0.1", port: int = 0) -> None:
         self.gateway = gateway
         self.host = host
         self._requested_port = port
-        self.history = (
-            history
-            if history is not None
-            else MetricsHistory(gateway.metrics, capacity=history_capacity)
-        )
-        self.slo = (
-            slo
-            if slo is not None
-            else SloEngine(self.history, metrics=gateway.metrics)
-        )
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
@@ -87,9 +62,6 @@ class OpsServer:
     def start(self) -> "OpsServer":
         if self._server is not None:
             return self
-        # A baseline tick so the first scrape's windowed deltas have a
-        # far edge to subtract from.
-        self.history.tick()
         handler = _build_handler(self)
         self._server = ThreadingHTTPServer((self.host, self._requested_port), handler)
         self._server.daemon_threads = True
@@ -130,40 +102,29 @@ class OpsServer:
 
     # -- endpoint bodies (HTTP-free, reused by tests) --------------------------
     def scrape(self) -> str:
-        """One ``/metrics`` scrape: tick the ring, evaluate SLOs, render."""
-        self.history.tick()
-        self.slo.evaluate()
+        """One ``/metrics`` scrape: the registry as OpenMetrics text."""
         return render_openmetrics(self.gateway.metrics)
 
     def health(self) -> tuple[int, dict]:
         """(status code, body) for ``/health``: 200 ready, 503 not.
 
-        Not ready when any SLO is paging (evaluated fresh against a new
-        tick) or the gateway's dispatch circuit breaker is open — an open
-        breaker means every dispatch is being fast-rejected, which is the
-        "all backends down" condition for a single-backend gateway.
+        Ready means the gateway can take work now: its dispatch circuit
+        breaker would admit a request (asked without consuming a
+        half-open probe) and admission control has room below
+        ``max_pending``.  A pure read — probing changes nothing.
         """
-        self.history.tick()
-        statuses = self.slo.evaluate()
-        snapshot = self.gateway.metrics.snapshot()
-        breaker_open = (
-            snapshot["gauges"].get("gateway.breaker.state", 0) == _BREAKER_OPEN
-        )
-        paging = [status.name for status in statuses if status.state == "page"]
-        ready = not paging and not breaker_open
+        gateway = self.gateway
+        breaker_open = not gateway.resilience.breaker.would_admit()
+        pending = gateway.pending
+        max_pending = gateway.config.max_pending
+        ready = not breaker_open and pending < max_pending
         body = {
             "status": "ok" if ready else "unavailable",
-            "paging_slos": paging,
             "breaker_open": breaker_open,
-            "pending": getattr(self.gateway, "pending", 0),
-            "slo": [status.as_dict() for status in statuses],
+            "pending": pending,
+            "max_pending": max_pending,
         }
         return (200 if ready else 503), body
-
-    def slo_statuses(self) -> dict:
-        self.history.tick()
-        statuses = self.slo.evaluate()
-        return {"slo": [status.as_dict() for status in statuses]}
 
     def trace_index(self) -> dict:
         buffer = self.gateway.tracer.buffer
@@ -233,8 +194,6 @@ def _build_handler(ops: OpsServer):
                 elif path == "/ops":
                     body = ops_report(ops.gateway).encode("utf-8")
                     self._send(200, "text/plain; charset=utf-8", body)
-                elif path == "/slo":
-                    self._send_json(200, ops.slo_statuses())
                 elif path == "/traces":
                     self._send_json(200, ops.trace_index())
                 elif path.startswith("/traces/"):

@@ -129,11 +129,12 @@ class GatewayConfig:
         stdlib :class:`~repro.obs.server.OpsServer` on
         ``(ops_host, ops_port)`` serving ``/metrics`` (OpenMetrics
         exposition with per-bucket trace exemplars), ``/health``
-        (readiness against :func:`~repro.obs.slo.default_slos` and the
-        breaker, 200/503), ``/ops``, ``/slo``, and ``/traces[/<id>]``;
-        ``0`` binds an ephemeral port (read it from
-        ``gateway.ops_server.port``).  The server stops with the gateway.
-        ``None`` (default) starts nothing.  See ``docs/OBSERVABILITY.md``.
+        (readiness: 200 when the breaker would admit a dispatch and
+        fewer than ``max_pending`` requests are pending, else 503),
+        ``/ops``, and ``/traces[/<id>]``; ``0`` binds an ephemeral port
+        (read it from ``gateway.ops_server.port``).  The server stops with
+        the gateway.  ``None`` (default) starts nothing.  See
+        ``docs/OBSERVABILITY.md``.
     ops_host:
         Bind address for the ops server (default loopback; widen
         deliberately — the surface is unauthenticated).
@@ -328,26 +329,26 @@ class Gateway:
             metrics=self.metrics,
             name="lkg_cache",
         )
-        self.backend.start(self)
-        # Opt-in HTTP ops surface: OpenMetrics exposition, SLO burn-rate
-        # evaluation, health probes, and trace lookup over stdlib HTTP
-        # (see repro.obs.server and docs/OBSERVABILITY.md).
+        # Opt-in HTTP ops surface: OpenMetrics exposition, readiness and
+        # trace lookup over stdlib HTTP (see repro.obs.server and
+        # docs/OBSERVABILITY.md).
         self.ops_server = None
-        if self.config.ops_port is not None:
-            from repro.obs.history import MetricsHistory
-            from repro.obs.server import OpsServer
-            from repro.obs.slo import SloEngine
+        try:
+            self.backend.start(self)
+            if self.config.ops_port is not None:
+                from repro.obs.server import OpsServer
 
-            self.metrics.arm_exemplars()
-            history = MetricsHistory(self.metrics)
-            self.ops_server = OpsServer(
-                self,
-                host=self.config.ops_host,
-                port=self.config.ops_port,
-                history=history,
-                slo=SloEngine(history, metrics=self.metrics),
-            )
-            self.ops_server.start()
+                self.metrics.arm_exemplars()
+                self.ops_server = OpsServer(
+                    self, host=self.config.ops_host, port=self.config.ops_port
+                )
+                self.ops_server.start()
+        except BaseException:
+            # A constructor that raises (a bad pool size, a taken port)
+            # must not leak what the backend started: its workers and its
+            # corpus journal observer.
+            self.backend.shutdown()
+            raise
 
     @property
     def mode(self) -> str:

@@ -203,12 +203,11 @@ class Histogram:
     def state(self) -> dict[str, object]:
         """The summary plus the raw bucket layout, captured under one lock.
 
-        The exposition layer and the metrics-history ring both need the
-        per-bucket counts (cumulative buckets, windowed delta math) — the
-        percentile summary alone cannot reconstruct them.  Keys on top of
-        :meth:`summary`: ``buckets`` (the upper bounds), ``bucket_counts``
-        (per-bucket observation counts, overflow last — same length as
-        ``buckets`` plus one), and ``exemplars`` (per-bucket
+        The exposition layer needs the per-bucket counts (cumulative
+        buckets) — the percentile summary alone cannot reconstruct them.
+        Keys on top of :meth:`summary`: ``buckets`` (the upper bounds),
+        ``bucket_counts`` (per-bucket observation counts, overflow last —
+        same length as ``buckets`` plus one), and ``exemplars`` (per-bucket
         ``(trace_id, value, timestamp)`` or ``None``; absent entirely when
         exemplars are disarmed).
         """
@@ -321,9 +320,8 @@ class MetricsRegistry:
 
         Histogram entries carry the full :meth:`Histogram.state` — the
         percentile summary plus ``buckets`` / ``bucket_counts`` (and
-        ``exemplars`` when armed) — so the OpenMetrics exposition and the
-        :class:`~repro.obs.history.MetricsHistory` ring's windowed delta
-        math read raw buckets from the same consistent capture.
+        ``exemplars`` when armed) — so the OpenMetrics exposition reads raw
+        buckets from the same consistent capture as the summary.
         """
         with self._lock:
             counters = dict(self._counters)

@@ -129,26 +129,41 @@ class CircuitBreaker:
         if self.metrics is not None:
             self.metrics.set_gauge("gateway.breaker.state", _STATE_GAUGE[state])
 
+    def _admits(self) -> bool:
+        """The admission rule, read-only; the caller holds ``_lock``."""
+        if self._state == CLOSED:
+            return True
+        if self._state == OPEN:
+            # Past the recovery window the next dispatch becomes the
+            # first half-open probe.
+            return (
+                self.clock.now() - self._opened_at >= self.recovery_seconds
+                and self.half_open_probes > 0
+            )
+        return self._probes_inflight < self.half_open_probes
+
+    def would_admit(self) -> bool:
+        """Would :meth:`allow` let a dispatch through right now?
+
+        Changes no state and consumes no half-open probe, so a readiness
+        probe can ask as often as it likes.
+        """
+        with self._lock:
+            return self._admits()
+
     def allow(self) -> bool:
         """May a dispatch proceed right now?  Counts fast rejections."""
         with self._lock:
-            if self._state == CLOSED:
-                return True
+            if not self._admits():
+                if self.metrics is not None:
+                    self.metrics.increment("gateway.breaker.fast_rejections")
+                return False
             if self._state == OPEN:
-                if self.clock.now() - self._opened_at >= self.recovery_seconds:
-                    self._set_state(HALF_OPEN)
-                    self._probes_inflight = 0
-                else:
-                    if self.metrics is not None:
-                        self.metrics.increment("gateway.breaker.fast_rejections")
-                    return False
-            # Half-open: admit a bounded number of probes.
-            if self._probes_inflight < self.half_open_probes:
+                self._set_state(HALF_OPEN)
+                self._probes_inflight = 0
+            if self._state == HALF_OPEN:
                 self._probes_inflight += 1
-                return True
-            if self.metrics is not None:
-                self.metrics.increment("gateway.breaker.fast_rejections")
-            return False
+            return True
 
     def record_success(self) -> None:
         with self._lock:

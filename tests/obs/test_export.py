@@ -182,7 +182,7 @@ class TestHelpCatalog:
     def test_placeholder_rows_match_concrete_names(self):
         catalog = load_help_catalog()
         assert help_for("gateway.backend.process.queue_depth", catalog)
-        assert help_for("obs.slo.error_ratio.state", catalog)
+        assert help_for("gateway_cache.hits", catalog)
 
     def test_missing_file_yields_empty_catalog(self, tmp_path):
         assert load_help_catalog(tmp_path / "absent.md") == ()

@@ -1,13 +1,16 @@
 """Acceptance tests for the HTTP ops server.
 
-The ISSUE-level contract: a gateway started with ``ops_port`` serves a
-``/metrics`` exposition the validating parser accepts, ``/health`` flips
-200 → 503 when an SLO pages (or the dispatch breaker opens), histogram
-exemplars resolve to retained traces through ``/traces/<id>``, and a
-scrape storm during a churning workload never perturbs the request path.
+The contract: a gateway started with ``ops_port`` serves a ``/metrics``
+exposition the validating parser accepts, ``/health`` answers 200 exactly
+when the dispatch breaker would admit a request and admission has room
+(and probing it changes nothing), histogram exemplars resolve to retained
+traces through ``/traces/<id>``, and a scrape storm during a churning
+workload never perturbs the request path.
 """
 
 import json
+import multiprocessing
+import socket
 import threading
 import time
 from urllib.error import HTTPError
@@ -15,7 +18,7 @@ from urllib.request import urlopen
 
 import pytest
 
-from repro.core import SearchRequest, WallClock
+from repro.core import Mileena, SearchRequest, SimulatedClock, WallClock
 from repro.obs import parse_openmetrics
 from repro.obs.server import OPENMETRICS_CONTENT_TYPE
 from repro.relational import KEY, NUMERIC, Relation, Schema
@@ -31,17 +34,20 @@ class _StubCorpus:
 
 
 class StubPlatform:
-    """Duck-typed platform: instant (or delayed, or failing) searches."""
+    """Duck-typed platform: instant (or delayed, gated, or failing) searches."""
 
-    def __init__(self, delay: float = 0.0):
+    def __init__(self, delay: float = 0.0, gate: threading.Event | None = None):
         self.clock = WallClock()
         self.metrics = None
         self.cache = None
         self.corpus = _StubCorpus()
         self.delay = delay
+        self.gate = gate
         self.fail = False
 
     def search(self, request, train_final_model=True):
+        if self.gate is not None:
+            self.gate.wait(timeout=10.0)
         if self.delay:
             time.sleep(self.delay)
         if self.fail:
@@ -95,7 +101,6 @@ class TestEndpoints:
             ("gateway_requests_total", ())
         ] == 5
         assert families["gateway_requests"]["help"] != "(no catalog entry)"
-        assert "obs_slo_error_ratio_state" in families
         assert families["ops_scrapes"]["type"] == "counter"
 
     def test_health_ok_while_healthy(self):
@@ -103,42 +108,104 @@ class TestEndpoints:
             gateway.run_many([make_request() for _ in range(4)])
             status, body, _ = fetch(f"{gateway.ops_server.url}/health")
         assert status == 200
-        payload = json.loads(body)
-        assert payload["status"] == "ok"
-        assert payload["paging_slos"] == []
-        assert payload["breaker_open"] is False
-
-    def test_health_flips_503_when_error_slo_pages(self):
-        platform = StubPlatform()
-        with Gateway(platform, ops_config()) as gateway:
-            base = gateway.ops_server.url
-            gateway.run_many([make_request() for _ in range(3)])
-            assert fetch(f"{base}/health")[0] == 200
-
-            platform.fail = True
-            # A task never answered before: once the breaker opens, no
-            # last-known-good result can stand in for the failures.
-            failed = gateway.run_many(
-                [make_request(max_augmentations=3) for _ in range(12)]
-            )
-            assert not any(response.ok for response in failed)
-            time.sleep(0.02)  # distinct tick timestamp for the new window edge
-
-            status, body, _ = fetch(f"{base}/health")
-            assert status == 503
-            payload = json.loads(body)
-            assert payload["status"] == "unavailable"
-            assert "error_ratio" in payload["paging_slos"]
-            page_count = gateway.metrics.counter_value("obs.slo.page")
-            assert page_count >= 1
+        assert json.loads(body) == {
+            "status": "ok",
+            "breaker_open": False,
+            "pending": 0,
+            "max_pending": 64,
+        }
 
     def test_health_503_when_breaker_open(self):
-        with Gateway(StubPlatform(), ops_config()) as gateway:
+        platform = StubPlatform()
+        with Gateway(platform, ops_config(breaker_failure_threshold=2)) as gateway:
             gateway.run_many([make_request()])
-            gateway.metrics.set_gauge("gateway.breaker.state", 2)
+            platform.fail = True
+            # Distinct tasks, one at a time: two failures trip the breaker
+            # and no last-known-good result can stand in for them.
+            for augmentations in (3, 4):
+                response = gateway.submit(
+                    make_request(max_augmentations=augmentations)
+                ).result(timeout=10.0)
+                assert not response.ok
+            assert gateway.resilience.breaker.state == "open"
             status, body, _ = fetch(f"{gateway.ops_server.url}/health")
         assert status == 503
-        assert json.loads(body)["breaker_open"] is True
+        payload = json.loads(body)
+        assert payload["status"] == "unavailable"
+        assert payload["breaker_open"] is True
+
+    def test_health_recovers_after_breaker_window_without_traffic(self):
+        """A load balancer that drains on 503 sends no traffic, so readiness
+        must come back once the breaker would admit a probe — without a
+        request to move it — and probing must not spend that probe."""
+        clock = SimulatedClock()
+        platform = StubPlatform()
+        platform.fail = True
+        config = ops_config(
+            breaker_failure_threshold=2, breaker_recovery_seconds=30.0
+        )
+        with Gateway(platform, config, clock=clock) as gateway:
+            health = f"{gateway.ops_server.url}/health"
+            breaker = gateway.resilience.breaker
+            for augmentations in (1, 2):
+                request = make_request(max_augmentations=augmentations)
+                gateway.submit(request).result(timeout=10.0)
+            assert breaker.state == "open"
+            assert fetch(health)[0] == 503
+
+            clock.advance(31.0)
+            for _ in range(3):
+                status, body, _ = fetch(health)
+                assert status == 200
+                assert json.loads(body)["breaker_open"] is False
+            # The health checks moved nothing: the breaker is still open,
+            # and the next dispatch is admitted as its half-open probe.
+            assert breaker.state == "open"
+            assert gateway.metrics.counter_value("gateway.breaker.fast_rejections") == 0
+
+            platform.fail = False
+            response = gateway.submit(make_request(max_augmentations=5))
+            assert response.result(timeout=10.0).ok
+            assert breaker.state == "closed"
+            assert fetch(health)[0] == 200
+
+    def test_health_503_while_a_half_open_probe_is_in_flight(self):
+        clock = SimulatedClock()
+        config = ops_config(
+            breaker_failure_threshold=1, breaker_recovery_seconds=30.0
+        )
+        with Gateway(StubPlatform(), config, clock=clock) as gateway:
+            health = f"{gateway.ops_server.url}/health"
+            breaker = gateway.resilience.breaker
+            breaker.record_failure()
+            clock.advance(30.0)
+            assert breaker.would_admit()
+            assert breaker.allow()  # the one half-open probe goes out
+            assert breaker.state == "half_open"
+            assert not breaker.would_admit()
+            assert fetch(health)[0] == 503
+            assert not breaker.allow()
+            assert breaker.state == "half_open"
+            breaker.record_success()
+            assert fetch(health)[0] == 200
+
+    def test_health_503_while_admission_is_full(self):
+        gate = threading.Event()
+        platform = StubPlatform(gate=gate)
+        with Gateway(platform, ops_config(max_pending=1)) as gateway:
+            health = f"{gateway.ops_server.url}/health"
+            future = gateway.submit(make_request())
+            status, body, _ = fetch(health)
+            assert status == 503
+            payload = json.loads(body)
+            assert payload["pending"] == payload["max_pending"] == 1
+            assert payload["breaker_open"] is False
+
+            gate.set()
+            assert future.result(timeout=10.0).ok
+            status, body, _ = fetch(health)
+            assert status == 200
+            assert json.loads(body)["pending"] == 0
 
     def test_exemplar_resolves_to_retained_trace(self):
         # 60ms searches land in a slow-ish service bucket; sample_rate=1
@@ -172,21 +239,18 @@ class TestEndpoints:
 
     def test_unknown_path_is_404(self):
         with Gateway(StubPlatform(), ops_config()) as gateway:
-            status, _, _ = fetch(f"{gateway.ops_server.url}/nope")
-        assert status == 404
+            # Burn rates are the scraper's job: there is no /slo endpoint.
+            for path in ("/nope", "/slo"):
+                status, _, _ = fetch(f"{gateway.ops_server.url}{path}")
+                assert status == 404
 
-    def test_ops_slo_traces_endpoints(self):
+    def test_ops_and_traces_endpoints(self):
         with Gateway(StubPlatform(), ops_config()) as gateway:
             gateway.run_many([make_request() for _ in range(2)])
             base = gateway.ops_server.url
             status, report, _ = fetch(f"{base}/ops")
             assert status == 200
             assert "gateway ops report" in report
-
-            status, body, _ = fetch(f"{base}/slo")
-            assert status == 200
-            states = {slo["name"]: slo["state"] for slo in json.loads(body)["slo"]}
-            assert set(states) == {"error_ratio", "degraded_ratio", "latency_p95"}
 
             status, body, _ = fetch(f"{base}/traces")
             assert status == 200
@@ -199,6 +263,27 @@ class TestEndpoints:
         )
         with Gateway(StubPlatform(), config) as gateway:
             assert gateway.ops_server is None
+
+    @pytest.mark.parametrize(
+        "take_port", [True, False], ids=["taken_ops_port", "zero_threads"]
+    )
+    def test_failed_construction_leaks_no_started_backend(self, take_port):
+        platform = Mileena()
+        children_before = set(multiprocessing.active_children())
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            if take_port:
+                overrides = {"max_workers": 1, "ops_port": taken.getsockname()[1]}
+            else:
+                # The worker pool starts, then the orchestrator thread pool
+                # refuses zero threads.
+                overrides = {"max_workers": 0}
+            config = GatewayConfig(backend="process", process_workers=1, **overrides)
+            with pytest.raises((OSError, ValueError)):
+                Gateway(platform, config)
+        assert set(multiprocessing.active_children()) - children_before == set()
+        assert platform.corpus._observers == []
 
     def test_server_stops_with_gateway(self):
         gateway = Gateway(StubPlatform(), ops_config())

@@ -16,8 +16,10 @@ from pathlib import Path
 
 import pytest
 
+import repro.obs
 from repro.core import Mileena
 from repro.discovery import DiscoveryIndex
+from repro.obs import OpsServer
 from repro.serving import GatewayConfig, ResultCache, ShardedDiscoveryIndex
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -99,17 +101,33 @@ REMOVED_SHARDED_KEYWORDS = [
 # Index constructor keywords of the deleted LSH discovery path.
 REMOVED_LSH_KEYWORDS = ["use_lsh", "lsh_bands", "target_recall", "multi_probe"]
 
+# ``OpsServer`` keywords of the deleted metrics-history ring and SLO engine.
+REMOVED_OPS_SERVER_KEYWORDS = ["history", "slo", "history_capacity"]
+
+# ``repro.obs`` exports of the deleted metrics-history ring and SLO engine.
+REMOVED_OBS_EXPORTS = [
+    "HistogramWindow",
+    "HistorySnapshot",
+    "MetricsHistory",
+    "SloEngine",
+    "SloSpec",
+    "SloStatus",
+    "default_slos",
+]
+
 # Removed classes, methods and fields that must not linger by name.
-REMOVED_NAMES = [
+REMOVED_NAMES = REMOVED_OBS_EXPORTS + [
     "CacheView",
     "adaptive_lsh_bands",
     "attach_cache",
     "discovery_cache",
     "discovery_cache_capacity",
+    "history_capacity",
     "lsh_bands",
     "lsh_recall",
     "multi_probe",
     "serving_backend",
+    "slo_statuses",
     "target_recall",
     "use_lsh",
 ]
@@ -187,6 +205,17 @@ def test_removed_constructor_keyword_is_rejected(build):
 def test_removed_lsh_keyword_is_rejected(index_class, name):
     with pytest.raises(TypeError, match=name):
         index_class(**{name: None})
+
+
+@pytest.mark.parametrize("name", REMOVED_OPS_SERVER_KEYWORDS)
+def test_removed_ops_server_keyword_is_rejected(name):
+    with pytest.raises(TypeError, match=name):
+        OpsServer(None, **{name: None})
+
+
+def test_removed_obs_exports_are_gone():
+    assert sorted(set(REMOVED_OBS_EXPORTS) & set(repro.obs.__all__)) == []
+    assert not [name for name in REMOVED_OBS_EXPORTS if hasattr(repro.obs, name)]
 
 
 def test_removed_names_are_gone_from_source_and_docs():
